@@ -76,7 +76,6 @@ from .quadrature import (
     DEFAULT_QUADRATURE,
     Quadrature,
     integrate,
-    integrate_reference,
 )
 from .removal import (
     DEFAULT_P_MEDIUM_SHRUB,
@@ -105,7 +104,7 @@ __all__ = [
     "survival_fraction", "expected_lifespan", "default_removal_model",
     "DEFAULT_P_TALL", "DEFAULT_P_MEDIUM_SHRUB",
     # quadrature
-    "Quadrature", "DEFAULT_QUADRATURE", "integrate", "integrate_reference",
+    "Quadrature", "DEFAULT_QUADRATURE", "integrate",
     # carbon
     "CarbonFactors", "CarbonConstant", "SegmentAbsorption",
     "AbsorptionReport", "BreakdownRow", "carbon_constant",

@@ -21,13 +21,11 @@ values require this exact form).  Conifers integrate from t = 1, losing
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
-
-import numpy as np
+from typing import Callable
 
 from . import growth
-from .errors import DomainError, ValidationError
-from .growth import DiameterModel, SpeciesSpec, TimeSegment
+from .errors import DomainError, ValidationError, require_finite
+from .growth import DiameterModel, Numeric, SpeciesSpec, TimeSegment
 from .quadrature import DEFAULT_QUADRATURE, Quadrature, integrate
 from .removal import RemovalModel, survival_fraction
 
@@ -48,8 +46,6 @@ __all__ = [
     "breakdown_table",
     "CO2_PER_CARBON",
 ]
-
-Numeric = Union[float, np.ndarray]
 
 CO2_PER_CARBON = 44.0 / 12.0  # molar-mass ratio, t-C -> t-CO2
 
@@ -73,6 +69,9 @@ class CarbonFactors:
     cf: float
 
     def __post_init__(self):
+        require_finite(
+            "carbon factors", bef=self.bef, rtsr=self.rtsr, bd=self.bd, cf=self.cf
+        )
         if min(self.bef, self.bd, self.cf) <= 0.0:
             raise ValidationError("bef, bd and cf must be positive")
         if self.rtsr < 0.0:
@@ -91,6 +90,7 @@ class CarbonConstant:
     c: float
 
     def __post_init__(self):
+        require_finite("carbon constant", c=self.c)
         if self.c <= 0.0:
             raise ValidationError("carbon constant must be positive")
 
@@ -144,8 +144,8 @@ def in_process_integrand(
 ) -> Callable[[Numeric], Numeric]:
     """The first-term integrand ``(1-p)^t p stored(t)``.
 
-    The returned callable accepts scalars or numpy arrays, so it feeds
-    both the adaptive rule and the vectorized reference rule.
+    The returned callable accepts floats or numpy ndarrays, so it feeds
+    both the adaptive rule and a vectorized reference rule.
     """
 
     def f(t: Numeric) -> Numeric:

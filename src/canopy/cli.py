@@ -25,7 +25,7 @@ from .carbon import (
     default_carbon_factors,
     expected_absorption,
 )
-from .errors import CanopyError
+from .errors import CanopyError, ValidationError
 from .fielddata import (
     default_breakpoints,
     fit_piecewise_linear,
@@ -157,8 +157,8 @@ def _resolve(args: argparse.Namespace) -> _Settings:
     except CanopyError as exc:
         raise _UsageError(str(exc)) from exc
     horizon = _pick(getattr(args, "horizon", None), config.horizon, 100.0)
-    if horizon <= 0:
-        raise _UsageError("horizon must be positive")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise _UsageError(f"horizon must be positive and finite, got {horizon}")
     fmt = _pick(getattr(args, "format", None), config.format, "table")
     output = _pick(getattr(args, "output", None), config.output, None)
     return _Settings(
@@ -217,7 +217,7 @@ def _emit(text: str, settings: _Settings) -> None:
 
 
 def _json_dumps(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
@@ -293,6 +293,15 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
 
 def _cmd_portfolio(args: argparse.Namespace) -> int:
     settings = _resolve(args)
+    try:
+        params = ProjectParams(
+            horizon=settings.horizon,
+            project_emissions=args.emissions,
+            steward_years=args.steward_years,
+            credit_mode=CreditMode(args.credit_mode),
+        )
+    except ValidationError as exc:
+        raise _UsageError(str(exc)) from exc
     cohorts = load_inventory(args.inventory)
     if settings.continuous_cap:
         cohorts = [
@@ -303,12 +312,6 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
             )
             for c in cohorts
         ]
-    params = ProjectParams(
-        horizon=settings.horizon,
-        project_emissions=args.emissions,
-        steward_years=args.steward_years,
-        credit_mode=CreditMode(args.credit_mode),
-    )
     report = evaluate_portfolio(
         cohorts,
         params,

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and the input checks shared across the package."""
+
+import math
 
 
 class CanopyError(Exception):
@@ -41,3 +43,21 @@ class UnderdeterminedError(CanopyError, ValueError):
 
 class UnknownSpeciesError(CanopyError, ValueError):
     """A wood type or size class name is not one of the known values."""
+
+
+def anywhere(mask) -> bool:
+    """Truth of a comparison made on a float or on an ndarray.
+
+    A float comparison gives a ``bool``, taken as it is; an ndarray (or a
+    numpy scalar) gives a boolean array, true here if any element is.  One
+    domain check thereby serves scalar and vectorized callers alike.
+    """
+    return mask if mask.__class__ is bool else bool(mask.any())
+
+
+def require_finite(owner: str, **values: float) -> None:
+    """Raise :class:`ValidationError` naming the first of ``values`` that
+    is nan or infinite; ``owner`` prefixes the message."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{owner}: {name} must be finite, got {value}")

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import (
     DomainError,
     ParseError,
@@ -170,19 +168,25 @@ def load_measurements(path: str | Path, format: str = "csv") -> list[Measurement
 
 
 def _ols(points: Sequence[tuple[float, float]]) -> tuple[float, float, float, float]:
-    """Slope, intercept, r^2 and residual sum of squares for one segment."""
-    h = np.array([p[0] for p in points], dtype=float)
-    d = np.array([p[1] for p in points], dtype=float)
-    slope, intercept = np.polyfit(h, d, 1)
-    residuals = d - (slope * h + intercept)
-    ss_res = float(residuals @ residuals)
-    centered = d - d.mean()
-    ss_tot = float(centered @ centered)
+    """Slope, intercept, r^2 and residual sum of squares for one segment.
+
+    Least squares on the centred points, with every sum taken by
+    :func:`math.fsum`, so no cancellation enters from the raw products.
+    """
+    n = len(points)
+    h_mean = math.fsum(h for h, _ in points) / n
+    d_mean = math.fsum(d for _, d in points) / n
+    dh = [h - h_mean for h, _ in points]
+    dd = [d - d_mean for _, d in points]
+    slope = math.fsum(x * y for x, y in zip(dh, dd)) / math.fsum(x * x for x in dh)
+    intercept = d_mean - slope * h_mean
+    ss_res = math.fsum((d - (slope * h + intercept)) ** 2 for h, d in points)
+    ss_tot = math.fsum(y * y for y in dd)
     if ss_tot == 0.0:
         r2 = 1.0 if ss_res == 0.0 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2, ss_res
+    return slope, intercept, r2, ss_res
 
 
 def fit_piecewise_linear(

@@ -19,9 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
-import numpy as np
-
-from .errors import DomainError, RangeError, ValidationError
+from .errors import DomainError, RangeError, ValidationError, anywhere
 
 __all__ = [
     "WoodType",
@@ -45,7 +43,10 @@ __all__ = [
     "CONIFER_DOMAIN_START_YEARS",
 ]
 
-Numeric = Union[float, np.ndarray]
+# Curve functions take a float or a numpy ndarray.  Each formula is written
+# once, with operators, ndarray methods and the functions of ``_namespace``,
+# so canopy itself never imports numpy.
+Numeric = Union[float, "numpy.ndarray"]
 
 
 class WoodType(str, Enum):
@@ -68,7 +69,10 @@ CONIFER_DOMAIN_START_YEARS = 1.0
 
 SHRUB_GROWTH_CM_PER_YEAR = 107.5
 _EXP_SCALE_CM = 2500.0
-_EXP_BASE = {WoodType.EVERGREEN: 0.975, WoodType.DECIDUOUS: 0.962}
+_EXP_LOG_BASE = {
+    WoodType.EVERGREEN: math.log(0.975),
+    WoodType.DECIDUOUS: math.log(0.962),
+}
 _CONIFER_OFFSET_CM = 35.0
 _CONIFER_SCALE_CM = 5471.0
 _CONIFER_RATE = 0.00592
@@ -232,19 +236,28 @@ def default_diameter_models() -> dict[WoodType, DiameterModel]:
     }
 
 
-def _conifer_curve(t: np.ndarray) -> np.ndarray:
-    decay = 1.0 - np.exp(-_CONIFER_RATE * (t - 1.0))
+def _namespace(t: Numeric):
+    """``math`` for a float; for an array, its own Array API namespace
+    (numpy's module for an ndarray, which the caller has already imported)."""
+    return t.__array_namespace__() if hasattr(t, "__array_namespace__") else math
+
+
+# The curves take 1 - b^t as -expm1(t ln b): the difference form cancels
+# near planting, where it turns a last-place difference between two pow/exp
+# implementations (libm for floats, numpy for arrays) into ~5e-14 of the
+# integrand.
+def _conifer_curve(t: Numeric) -> Numeric:
+    decay = -_namespace(t).expm1(-_CONIFER_RATE * (t - 1.0))
     return _CONIFER_OFFSET_CM + _CONIFER_SCALE_CM * decay**_CONIFER_SHAPE
 
 
-def _growth_curve(spec: SpeciesSpec, t: np.ndarray) -> np.ndarray:
+def _growth_curve(spec: SpeciesSpec, t: Numeric) -> Numeric:
     """Bare growth branch, ignoring the cap."""
     if spec.size is SizeClass.SHRUB:
         return SHRUB_GROWTH_CM_PER_YEAR * t
     if spec.wood is WoodType.CONIFER:
         return _conifer_curve(t)
-    base = _EXP_BASE[spec.wood]
-    return _EXP_SCALE_CM * (1.0 - base**t)
+    return -_EXP_SCALE_CM * _namespace(t).expm1(_EXP_LOG_BASE[spec.wood] * t)
 
 
 def _curve_start_height(spec: SpeciesSpec) -> float:
@@ -271,14 +284,12 @@ def uncapped_height(spec: SpeciesSpec, t: Numeric) -> Numeric:
     piece whose upper endpoint is the cap age, the integrand must follow
     the curve all the way to the endpoint, not the capped value.
     """
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < spec.domain_start):
+    if anywhere(t < spec.domain_start):
         raise DomainError(
             f"t must be >= {spec.domain_start} for {spec.wood.value} "
             f"{spec.size.value}"
         )
-    out = _growth_curve(spec, arr)
-    return float(out) if arr.ndim == 0 else out
+    return _growth_curve(spec, t)
 
 
 def height(spec: SpeciesSpec, t: Numeric) -> Numeric:
@@ -298,7 +309,7 @@ def height(spec: SpeciesSpec, t: Numeric) -> Numeric:
 
     Args:
         spec: Species case to evaluate.
-        t: Years since planting, scalar or numpy array.
+        t: Years since planting, a float or a numpy ndarray.
 
     Returns:
         Height in cm, matching the shape of ``t``.
@@ -308,20 +319,18 @@ def height(spec: SpeciesSpec, t: Numeric) -> Numeric:
             (conifer curves are undefined below t = 1, where the base
             ``1 - e^(-0.00592 (t-1))`` turns negative).
     """
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < spec.domain_start):
-        raise DomainError(
-            f"t must be >= {spec.domain_start} for {spec.wood.value} "
-            f"{spec.size.value}"
-        )
-    curve = _growth_curve(spec, arr)
+    curve = uncapped_height(spec, t)
     if spec.cap_height is None:
-        out = curve
-    elif spec.continuous_cap:
-        out = np.minimum(curve, spec.cap_height)
+        return curve
+    if spec.continuous_cap:
+        on_cap = curve > spec.cap_height
     else:
-        out = np.where(arr >= spec.cap_time, spec.cap_height, curve)
-    return float(out) if arr.ndim == 0 else out
+        on_cap = t >= spec.cap_time
+    if on_cap.__class__ is bool or on_cap.ndim == 0:
+        return spec.cap_height if on_cap else curve
+    out = curve.copy()
+    out[on_cap] = spec.cap_height
+    return out
 
 
 def time_at_height(spec: SpeciesSpec, h: float) -> float:
@@ -356,13 +365,11 @@ def time_at_height(spec: SpeciesSpec, h: float) -> float:
     if spec.size is SizeClass.SHRUB:
         return h / SHRUB_GROWTH_CM_PER_YEAR
     if spec.wood is not WoodType.CONIFER:
-        base = _EXP_BASE[spec.wood]
-        return math.log(1.0 - h / _EXP_SCALE_CM) / math.log(base)
+        return math.log(1.0 - h / _EXP_SCALE_CM) / _EXP_LOG_BASE[spec.wood]
     lo, hi = 1.0, 1e4
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
-        decay = 1.0 - math.exp(-_CONIFER_RATE * (mid - 1.0))
-        if _CONIFER_OFFSET_CM + _CONIFER_SCALE_CM * decay**_CONIFER_SHAPE < h:
+        if _conifer_curve(mid) < h:
             lo = mid
         else:
             hi = mid
@@ -373,19 +380,18 @@ def diameter_from_height(model: DiameterModel, h: Numeric) -> Numeric:
     """Trunk diameter in cm for height ``h`` cm under ``model``.
 
     Selects the segment with ``h in [h_lo, h_hi)`` (last segment closed
-    above) and returns ``slope * h + intercept``.
+    above) and returns ``slope * h + intercept``.  ``h`` may be a float
+    or a numpy ndarray.
     """
-    arr = np.asarray(h, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+    if anywhere((h < 0.0) | (h == math.inf) | (h != h)):
         raise DomainError("height must be finite and nonnegative")
-    conds = []
-    values = []
+    # each height lies in exactly one segment, so the masked sum adds
+    # exact zeros to one value
+    out = 0.0
     for seg in model.segments:
         upper = math.inf if seg.h_hi is None else seg.h_hi
-        conds.append((arr >= seg.h_lo) & (arr < upper))
-        values.append(seg.diameter(arr))
-    out = np.select(conds, values)
-    return float(out) if arr.ndim == 0 else out
+        out = out + ((h >= seg.h_lo) & (h < upper)) * seg.diameter(h)
+    return out
 
 
 def _segment_index(model: DiameterModel, h: float) -> int:

@@ -20,6 +20,7 @@ from .errors import (
     ParseError,
     UnknownSpeciesError,
     ValidationError,
+    require_finite,
 )
 from .growth import DiameterModel, SizeClass, SpeciesSpec, WoodType
 from .quadrature import DEFAULT_QUADRATURE, Quadrature
@@ -71,6 +72,12 @@ class ProjectParams:
     credit_mode: CreditMode = CreditMode.SURVIVOR_ONLY
 
     def __post_init__(self):
+        require_finite(
+            "project",
+            horizon=self.horizon,
+            project_emissions=self.project_emissions,
+            steward_years=self.steward_years,
+        )
         if self.horizon <= 0.0:
             raise ValidationError("horizon must be positive")
         if self.project_emissions < 0.0:

@@ -8,12 +8,9 @@ over the census window.  Survival after t years is ``(1 - p)^t``.
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
-import numpy as np
-
-from .errors import DomainError, ValidationError
-from .growth import SizeClass
+from .errors import DomainError, ValidationError, anywhere
+from .growth import Numeric, SizeClass
 
 __all__ = [
     "RemovalModel",
@@ -25,8 +22,6 @@ __all__ = [
     "DEFAULT_P_TALL",
     "DEFAULT_P_MEDIUM_SHRUB",
 ]
-
-Numeric = Union[float, np.ndarray]
 
 # Census-derived defaults; the medium value is shared by shrubs.
 DEFAULT_P_TALL = 0.027309
@@ -94,8 +89,9 @@ def derive_removal_probability(census: CensusInput) -> RemovalModel:
 
 
 def survival_fraction(model: RemovalModel, t: Numeric) -> Numeric:
-    """Probability ``(1 - p)^t`` that a tree still stands after t years."""
-    if np.any(np.asarray(t) < 0.0):
+    """Probability ``(1 - p)^t`` that a tree still stands after t years;
+    ``t`` may be a float or a numpy ndarray."""
+    if anywhere(t < 0.0):
         raise DomainError("t must be nonnegative")
     return (1.0 - model.p) ** t
 

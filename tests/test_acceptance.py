@@ -42,7 +42,6 @@ from canopy import (
     expected_lifespan,
     fit_piecewise_linear,
     height,
-    integrate_reference,
     integration_segments,
     species,
     survival_fraction,
@@ -51,6 +50,7 @@ from canopy import (
 from canopy.carbon import segment_integrand
 from canopy.growth import uncapped_height
 
+from midpoint import integrate_reference
 from reference_values import (
     CENSUS_MEDIUM_SHRUB,
     CENSUS_TALL,

@@ -16,7 +16,6 @@ from canopy import (
     default_carbon_factors,
     default_removal_model,
     expected_absorption,
-    integrate_reference,
     integration_segments,
     species,
     stored_co2,
@@ -24,6 +23,7 @@ from canopy import (
 )
 from canopy.carbon import segment_integrand
 
+from midpoint import integrate_reference
 from reference_values import (
     FACTOR_PRODUCT_CF_051,
     FACTOR_PRODUCT_CF_LONG,
@@ -64,6 +64,18 @@ class TestCarbonConstant:
             CarbonFactors(1.0, -0.1, 0.4, 0.5)
         with pytest.raises(ValidationError):
             CarbonConstant(0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["bef", "rtsr", "bd", "cf"])
+    def test_factors_reject_non_finite(self, field, bad):
+        values = {"bef": 1.6, "rtsr": 0.27, "bd": 0.4, "cf": 0.51, field: bad}
+        with pytest.raises(ValidationError, match=field):
+            CarbonFactors(**values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_constant_rejects_non_finite(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            CarbonConstant(bad)
 
 
 class TestStoredCo2:
@@ -204,6 +216,35 @@ class TestExpectedAbsorption:
                     200_000,
                 )
                 assert seg.value == pytest.approx(ref, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "wood, size, horizon, p, factors",
+        [
+            ("conifer", "medium", 289.4250906448233, 0.009137236305112987,
+             (1.7162508777662937, 0.17503088720973936, 0.392962292335077, 0.48050007394849925)),
+            ("deciduous", "tall", 145.59111549769898, 0.0074715771512194485,
+             (2.010834691126849, 0.35909051831012684, 0.48694050705576386, 0.5119971228773788)),
+        ],
+    )
+    def test_chance_agreement_on_coarse_interval_is_refined(
+        self, models, wood, size, horizon, p, factors
+    ):
+        # on these growth pieces the Simpson estimates of a coarse interval
+        # agree by chance while both are ~2e-8 off; accepting that match
+        # would miss the midpoint reference
+        spec = species(wood, size, continuous_cap=True)
+        removal = RemovalModel(p)
+        constant = carbon_constant(CarbonFactors(*factors))
+        report = expected_absorption(spec, models[spec.wood], removal, constant, horizon)
+        pieces = integration_segments(spec, models[spec.wood], horizon)
+        for seg, piece in zip(report.segments, pieces):
+            ref = integrate_reference(
+                segment_integrand(spec, piece, removal, constant),
+                piece.t_lo,
+                piece.t_hi,
+                10**6,
+            )
+            assert seg.value == pytest.approx(ref, rel=1e-9)
 
     def test_report_tampering_detected(self, models, constant):
         spec = species("evergreen", "tall")

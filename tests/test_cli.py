@@ -196,6 +196,41 @@ class TestPortfolio:
         assert lines[-1].startswith("NET")
 
 
+class TestNonFiniteInput:
+    """nan and inf are usage errors (exit 2) that name the parameter."""
+
+    def test_emissions_nan(self, capsys, tmp_path):
+        inventory = tmp_path / "inventory.csv"
+        inventory.write_text("label,wood,size,count\nstreet-A,evergreen,tall,1\n")
+        code, out, err = run(
+            capsys, "portfolio", str(inventory), "--emissions", "nan", "--format", "json",
+        )
+        assert code == 2 and out == ""
+        assert "project_emissions" in err
+
+    def test_bef_nan(self, capsys):
+        code, out, err = run(
+            capsys, "estimate", "--wood", "evergreen", "--size", "tall", "--bef", "nan",
+        )
+        assert code == 2 and out == ""
+        assert "bef" in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_horizon_non_finite(self, capsys, value):
+        code, out, err = run(
+            capsys, "estimate", "--wood", "evergreen", "--size", "tall",
+            "--horizon", value,
+        )
+        assert code == 2 and out == ""
+        assert "horizon" in err
+
+    def test_json_never_prints_nan(self):
+        from canopy.cli import _json_dumps
+
+        with pytest.raises(ValueError):
+            _json_dumps({"net_credit": float("nan")})
+
+
 class TestDeriveP:
     def test_golden(self, capsys):
         code, out, _ = run(

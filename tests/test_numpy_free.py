@@ -1,0 +1,109 @@
+"""canopy runs without numpy, yet its curve functions still take ndarrays.
+
+The runtime is written with ``math`` and operators, so ``import canopy``
+must not load numpy; the same expressions evaluate an ndarray a caller
+passes in, element for element as they evaluate a float.
+"""
+
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from canopy import (
+    DomainError,
+    all_species,
+    default_carbon_constant,
+    default_diameter_models,
+    default_removal_model,
+    diameter_from_height,
+    height,
+    integration_segments,
+    species,
+    survival_fraction,
+    uncapped_height,
+)
+from canopy.carbon import segment_integrand
+from canopy.growth import MEDIUM_CAP_TIME_YEARS, SHRUB_CAP_TIME_YEARS
+
+REL = 1e-14
+
+
+def test_import_leaves_numpy_unloaded():
+    code = "import sys, canopy, canopy.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
+
+
+def _specs():
+    return all_species() + tuple(
+        species(s.wood, s.size, continuous_cap=True)
+        for s in all_species()
+        if s.cap_height is not None
+    )
+
+
+def _times(spec):
+    # the grid includes both cap ages exactly, so each cap rule meets its
+    # boundary on the array path as on the float path
+    grid = np.linspace(spec.domain_start, 150.0, 301)
+    caps = np.array([MEDIUM_CAP_TIME_YEARS, SHRUB_CAP_TIME_YEARS])
+    return np.concatenate([grid, caps[caps >= spec.domain_start]])
+
+
+def _assert_parity(f, xs):
+    vectored = f(xs)
+    assert isinstance(vectored, np.ndarray) and vectored.shape == xs.shape
+    looped = [f(float(x)) for x in xs]
+    assert all(isinstance(value, float) for value in looped)
+    np.testing.assert_allclose(vectored, looped, rtol=REL, atol=0.0)
+
+
+@pytest.mark.parametrize("spec", _specs(), ids=lambda s: f"{s.wood.value}-{s.size.value}-{s.continuous_cap}")
+def test_curves_match_per_element_floats(spec):
+    ts = _times(spec)
+    _assert_parity(lambda t: height(spec, t), ts)
+    _assert_parity(lambda t: uncapped_height(spec, t), ts)
+    _assert_parity(lambda t: survival_fraction(default_removal_model(spec.size), t), ts)
+
+
+@pytest.mark.parametrize("model", default_diameter_models().values(), ids=lambda m: m.wood.value)
+def test_diameter_matches_per_element_floats(model):
+    # every segment boundary, a hair either side of it, and the interiors
+    edges = [seg.h_lo for seg in model.segments[1:]]
+    hs = np.concatenate(
+        [np.linspace(0.0, 3000.0, 301), edges, np.nextafter(edges, -np.inf)]
+    )
+    _assert_parity(lambda h: diameter_from_height(model, h), hs)
+
+
+@pytest.mark.parametrize("spec", _specs(), ids=lambda s: f"{s.wood.value}-{s.size.value}-{s.continuous_cap}")
+def test_segment_integrand_matches_per_element_floats(spec):
+    model = default_diameter_models()[spec.wood]
+    removal = default_removal_model(spec.size)
+    constant = default_carbon_constant()
+    for piece in integration_segments(spec, model, 100.0):
+        f = segment_integrand(spec, piece, removal, constant)
+        _assert_parity(f, np.linspace(piece.t_lo, piece.t_hi, 41))
+
+
+def test_domain_error_for_float_and_inside_array():
+    conifer = species("conifer", "medium")
+    removal = default_removal_model(conifer.size)
+    model = default_diameter_models()[conifer.wood]
+    cases = [
+        (lambda t: height(conifer, t), 0.5),
+        (lambda t: uncapped_height(conifer, t), 0.5),
+        (lambda t: survival_fraction(removal, t), -1.0),
+        (lambda h: diameter_from_height(model, h), -0.1),
+        (lambda h: diameter_from_height(model, h), float("inf")),
+        (lambda h: diameter_from_height(model, h), float("nan")),
+    ]
+    for f, bad in cases:
+        with pytest.raises(DomainError):
+            f(bad)
+        with pytest.raises(DomainError):
+            f(np.array([2.0, bad, 3.0]))

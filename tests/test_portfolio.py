@@ -139,6 +139,12 @@ class TestEvaluate:
         with pytest.raises(ValidationError):
             PlantingCohort(species("evergreen", "tall"), -1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["horizon", "project_emissions", "steward_years"])
+    def test_params_reject_non_finite(self, field, bad):
+        with pytest.raises(ValidationError, match=field):
+            ProjectParams(**{field: bad})
+
 
 class TestLoadInventory:
     def test_good_file(self, tmp_path):

@@ -9,8 +9,9 @@ from canopy import (
     Quadrature,
     ValidationError,
     integrate,
-    integrate_reference,
 )
+
+from midpoint import integrate_reference
 
 
 class TestIntegrate:
@@ -33,6 +34,12 @@ class TestIntegrate:
         step = lambda x: 0.0 if x < 0.5 else 1.0
         with pytest.raises(IntegrationError):
             integrate(step, 0.0, 1.0, Quadrature(max_depth=8))
+
+    def test_chance_agreement_is_not_accepted(self):
+        # x^4 - 0.8 x^6 makes the 3- and 5-point Simpson sums on [-1, 1]
+        # equal (2/15) while the integral is 0.4 - 1.6/7
+        f = lambda x: x**4 - 0.8 * x**6
+        assert integrate(f, -1.0, 1.0) == pytest.approx(0.4 - 1.6 / 7.0, rel=1e-10)
 
     def test_non_finite_integrand(self):
         with pytest.raises(IntegrationError):
