@@ -23,7 +23,6 @@ from .carbon import (
     default_carbon_constant,
     default_carbon_factors,
     expected_absorption,
-    in_process_integrand,
     segment_integrand,
     stored_co2,
 )
@@ -72,11 +71,7 @@ from .portfolio import (
     evaluate_portfolio,
     load_inventory,
 )
-from .quadrature import (
-    DEFAULT_QUADRATURE,
-    Quadrature,
-    integrate,
-)
+from .quadrature import integrate
 from .removal import (
     DEFAULT_P_MEDIUM_SHRUB,
     DEFAULT_P_TALL,
@@ -104,12 +99,12 @@ __all__ = [
     "survival_fraction", "expected_lifespan", "default_removal_model",
     "DEFAULT_P_TALL", "DEFAULT_P_MEDIUM_SHRUB",
     # quadrature
-    "Quadrature", "DEFAULT_QUADRATURE", "integrate",
+    "integrate",
     # carbon
     "CarbonFactors", "CarbonConstant", "SegmentAbsorption",
     "AbsorptionReport", "BreakdownRow", "carbon_constant",
     "default_carbon_factors", "default_carbon_constant", "stored_co2",
-    "in_process_integrand", "segment_integrand", "creditable_absorption",
+    "segment_integrand", "creditable_absorption",
     "expected_absorption",
     "breakdown_table",
     # fielddata

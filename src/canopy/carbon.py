@@ -26,7 +26,7 @@ from typing import Callable
 from . import growth
 from .errors import DomainError, ValidationError, require_finite
 from .growth import DiameterModel, Numeric, SpeciesSpec, TimeSegment
-from .quadrature import DEFAULT_QUADRATURE, Quadrature, integrate
+from .quadrature import integrate
 from .removal import RemovalModel, survival_fraction
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "default_carbon_factors",
     "default_carbon_constant",
     "stored_co2",
-    "in_process_integrand",
     "segment_integrand",
     "creditable_absorption",
     "expected_absorption",
@@ -136,25 +135,6 @@ def stored_co2(
     return h * (0.5 * d) ** 2 * math.pi * constant.c
 
 
-def in_process_integrand(
-    spec: SpeciesSpec,
-    model: DiameterModel,
-    removal: RemovalModel,
-    constant: CarbonConstant,
-) -> Callable[[Numeric], Numeric]:
-    """The first-term integrand ``(1-p)^t p stored(t)``.
-
-    The returned callable accepts floats or numpy ndarrays, so it feeds
-    both the adaptive rule and a vectorized reference rule.
-    """
-
-    def f(t: Numeric) -> Numeric:
-        weight = survival_fraction(removal, t) * removal.p
-        return weight * stored_co2(spec, model, constant, t)
-
-    return f
-
-
 def segment_integrand(
     spec: SpeciesSpec,
     segment: TimeSegment,
@@ -249,7 +229,6 @@ def expected_absorption(
     removal: RemovalModel,
     constant: CarbonConstant,
     horizon: float = 100.0,
-    quadrature: Quadrature = DEFAULT_QUADRATURE,
 ) -> AbsorptionReport:
     """Expected CO2 absorption of one planted tree over ``horizon`` years.
 
@@ -258,7 +237,7 @@ def expected_absorption(
     ``horizon - 1``); the survivor term uses exponent ``horizon``.
 
     Raises:
-        DomainError: If ``horizon <= spec.domain_start``.
+        DomainError: If ``horizon`` is nan or ``<= spec.domain_start``.
         IntegrationError: If the quadrature cannot reach its tolerance.
     """
     pieces = growth.integration_segments(spec, model, horizon)
@@ -271,7 +250,6 @@ def expected_absorption(
                 segment_integrand(spec, piece, removal, constant),
                 piece.t_lo,
                 piece.t_hi,
-                quadrature,
             ),
         )
         for piece in pieces

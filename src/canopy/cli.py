@@ -176,48 +176,48 @@ def _num(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _render_kv_table(payload: dict) -> str:
-    width = max(len(k) for k in payload)
-    lines = []
-    for key, value in payload.items():
-        text = _num(value) if isinstance(value, float) else str(value)
-        lines.append(f"{key:<{width}}  {text}")
-    return "\n".join(lines) + "\n"
+def _json_dumps(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _render_rows_csv(header: list[str], rows: list[list]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(
-            [_num(v) if isinstance(v, float) else v for v in row]
-        )
-    return buffer.getvalue()
+def _emit(
+    settings: _Settings, payload: dict, header: list[str] | None = None,
+    rows: Sequence[Sequence] = (), footer: str = "",
+) -> None:
+    """Write a command's result to stdout or ``--output``.
 
-
-def _render_rows_table(header: list[str], rows: list[list]) -> str:
-    cells = [header] + [
-        [_num(v) if isinstance(v, float) else str(v) for v in row]
-        for row in rows
-    ]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
-             for row in cells]
-    lines.insert(1, "  ".join("-" * w for w in widths))
-    return "\n".join(lines) + "\n"
-
-
-def _emit(text: str, settings: _Settings) -> None:
+    JSON writes ``payload``.  CSV and table write ``rows`` under
+    ``header``, the table followed by ``footer``; without a header, the
+    payload is one CSV row or a key/value table.  Floats print with six
+    decimals outside JSON.
+    """
+    if settings.fmt == "json":
+        text = _json_dumps(payload)
+    else:
+        pairs = header is None
+        if pairs:
+            header, rows = list(payload), [payload.values()]
+        cells = [header] + [
+            [_num(v) if isinstance(v, float) else str(v) for v in row] for row in rows
+        ]
+        if settings.fmt == "csv":
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerows(cells)
+            text = buffer.getvalue()
+        elif pairs:
+            width = max(map(len, header))
+            text = "".join(f"{k:<{width}}  {v}\n" for k, v in zip(*cells))
+        else:
+            widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
+            lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+                     for row in cells]
+            lines.insert(1, "  ".join("-" * w for w in widths))
+            text = "\n".join(lines) + "\n" + footer
     if settings.output is None:
         sys.stdout.write(text)
     else:
         with open(settings.output, "w", encoding="utf-8") as handle:
             handle.write(text)
-
-
-def _json_dumps(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
@@ -240,13 +240,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         "creditable_t": report.creditable,
         "expected_total_t": report.expected_total,
     }
-    if settings.fmt == "json":
-        text = _json_dumps(payload)
-    elif settings.fmt == "csv":
-        text = _render_rows_csv(list(payload), [list(payload.values())])
-    else:
-        text = _render_kv_table(payload)
-    _emit(text, settings)
+    _emit(settings, payload)
     return 0
 
 
@@ -257,37 +251,32 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
     removal = settings.removal_for(spec.size)
     constant = carbon_constant(settings.factors)
     report = expected_absorption(spec, model, removal, constant, settings.horizon)
-    if settings.fmt == "json":
-        payload = {
-            "wood": spec.wood.value,
-            "size": spec.size.value,
-            "horizon_years": settings.horizon,
-            "p": removal.p,
-            "segments": [
-                {
-                    "t_start": seg.t_lo,
-                    "t_end": seg.t_hi,
-                    "rule": seg.label,
-                    "in_process_t": seg.value,
-                }
-                for seg in report.segments
-            ],
-            "creditable_t": report.creditable,
-            "expected_total_t": report.expected_total,
-        }
-        text = _json_dumps(payload)
-    else:
-        header = ["t_start", "t_end", "in_process_t", "creditable_t"]
-        rows: list[list] = []
-        last = len(report.segments) - 1
-        for i, seg in enumerate(report.segments):
-            creditable = _num(report.creditable) if i == last else ""
-            rows.append([seg.t_lo, seg.t_hi, seg.value, creditable])
-        render = _render_rows_csv if settings.fmt == "csv" else _render_rows_table
-        text = render(header, rows)
-        if settings.fmt == "table":
-            text += f"expected_total_t  {_num(report.expected_total)}\n"
-    _emit(text, settings)
+    payload = {
+        "wood": spec.wood.value,
+        "size": spec.size.value,
+        "horizon_years": settings.horizon,
+        "p": removal.p,
+        "segments": [
+            {
+                "t_start": seg.t_lo,
+                "t_end": seg.t_hi,
+                "rule": seg.label,
+                "in_process_t": seg.value,
+            }
+            for seg in report.segments
+        ],
+        "creditable_t": report.creditable,
+        "expected_total_t": report.expected_total,
+    }
+    last = len(report.segments) - 1
+    rows = [
+        [seg.t_lo, seg.t_hi, seg.value, _num(report.creditable) if i == last else ""]
+        for i, seg in enumerate(report.segments)
+    ]
+    _emit(
+        settings, payload, ["t_start", "t_end", "in_process_t", "creditable_t"], rows,
+        f"expected_total_t  {_num(report.expected_total)}\n",
+    )
     return 0
 
 
@@ -322,45 +311,37 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
         },
         constant=carbon_constant(settings.factors),
     )
-    if settings.fmt == "json":
-        # keys mirror the PortfolioReport / CohortResult field names
-        payload = {
-            "horizon_years": params.horizon,
-            "credit_mode": params.credit_mode.value,
-            "steward_years": params.steward_years,
-            "per_cohort": [
-                {
-                    "label": r.label,
-                    "count": r.count,
-                    "per_tree_total": r.per_tree_total,
-                    "per_tree_creditable": r.per_tree_creditable,
-                    "cohort_credit": r.cohort_credit,
-                    "steward_share": r.steward_share,
-                }
-                for r in report.per_cohort
-            ],
-            "gross_credit": report.gross_credit,
-            "project_emissions": report.project_emissions,
-            "net_credit": report.net_credit,
-            "shortfall": report.shortfall,
+    # keys mirror the PortfolioReport / CohortResult field names
+    per_cohort = [
+        {
+            "label": r.label,
+            "count": r.count,
+            "per_tree_total": r.per_tree_total,
+            "per_tree_creditable": r.per_tree_creditable,
+            "cohort_credit": r.cohort_credit,
+            "steward_share": r.steward_share,
         }
-        text = _json_dumps(payload)
-    else:
-        header = [
-            "label", "count", "per_tree_total", "per_tree_creditable",
-            "cohort_credit", "steward_share",
-        ]
-        rows: list[list] = [
-            [r.label, r.count, r.per_tree_total, r.per_tree_creditable,
-             r.cohort_credit, r.steward_share]
-            for r in report.per_cohort
-        ]
-        shares = math.fsum(r.steward_share for r in report.per_cohort)
-        rows.append(["TOTAL", "", "", "", report.gross_credit, shares])
-        rows.append(["NET", "", "", "", report.net_credit, ""])
-        render = _render_rows_csv if settings.fmt == "csv" else _render_rows_table
-        text = render(header, rows)
-    _emit(text, settings)
+        for r in report.per_cohort
+    ]
+    payload = {
+        "horizon_years": params.horizon,
+        "credit_mode": params.credit_mode.value,
+        "steward_years": params.steward_years,
+        "per_cohort": per_cohort,
+        "gross_credit": report.gross_credit,
+        "project_emissions": report.project_emissions,
+        "net_credit": report.net_credit,
+        "shortfall": report.shortfall,
+    }
+    header = [
+        "label", "count", "per_tree_total", "per_tree_creditable",
+        "cohort_credit", "steward_share",
+    ]
+    rows = [list(cohort.values()) for cohort in per_cohort]
+    shares = math.fsum(r.steward_share for r in report.per_cohort)
+    rows.append(["TOTAL", "", "", "", report.gross_credit, shares])
+    rows.append(["NET", "", "", "", report.net_credit, ""])
+    _emit(settings, payload, header, rows)
     if report.shortfall:
         print("canopy: warning: project emissions exceed gross credit",
               file=sys.stderr)
@@ -369,12 +350,15 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
 
 def _cmd_derive_p(args: argparse.Namespace) -> int:
     settings = _resolve(args)
-    census = CensusInput(
-        standing_stock=args.stock,
-        assumed_lifespan=args.lifespan,
-        horizon=args.census_horizon,
-        storm_felled=args.storm_felled,
-    )
+    try:
+        census = CensusInput(
+            standing_stock=args.stock,
+            assumed_lifespan=args.lifespan,
+            horizon=args.census_horizon,
+            storm_felled=args.storm_felled,
+        )
+    except ValidationError as exc:
+        raise _UsageError(str(exc)) from exc
     model = derive_removal_probability(census)
     payload = {
         "standing_stock": census.standing_stock,
@@ -385,13 +369,7 @@ def _cmd_derive_p(args: argparse.Namespace) -> int:
         "p": model.p,
         "expected_lifespan_years": expected_lifespan(model),
     }
-    if settings.fmt == "json":
-        text = _json_dumps(payload)
-    elif settings.fmt == "csv":
-        text = _render_rows_csv(list(payload), [list(payload.values())])
-    else:
-        text = _render_kv_table(payload)
-    _emit(text, settings)
+    _emit(settings, payload)
     return 0
 
 
@@ -424,44 +402,42 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     )
     points = [(m.height, m.diameter) for m in rows]
     result = fit_piecewise_linear(points, breakpoints, wood=wood)
-    if settings.fmt == "json":
-        payload = {
-            "wood": wood.value,
-            "breakpoints": list(breakpoints),
-            "n_points": len(points),
-            "segments": [
-                {
-                    "h_lo": seg.h_lo,
-                    "h_hi": seg.h_hi,
-                    "slope": seg.slope,
-                    "intercept": seg.intercept,
-                    "r_squared": r2,
-                }
-                for seg, r2 in zip(result.model.segments, result.per_segment_r2)
-            ],
-            "residual_rms_cm": result.residual_rms,
-        }
-        text = _json_dumps(payload)
-    else:
-        header = ["h_lo", "h_hi", "slope", "intercept", "r_squared"]
-        rows_out: list[list] = [
-            [seg.h_lo, "inf" if seg.h_hi is None else seg.h_hi,
-             seg.slope, seg.intercept, r2]
-            for seg, r2 in zip(result.model.segments, result.per_segment_r2)
-        ]
-        render = _render_rows_csv if settings.fmt == "csv" else _render_rows_table
-        text = render(header, rows_out)
-        if settings.fmt == "table":
-            text += f"residual_rms_cm   {_num(result.residual_rms)}\n"
-    _emit(text, settings)
+    fitted = list(zip(result.model.segments, result.per_segment_r2))
+    payload = {
+        "wood": wood.value,
+        "breakpoints": list(breakpoints),
+        "n_points": len(points),
+        "segments": [
+            {
+                "h_lo": seg.h_lo,
+                "h_hi": seg.h_hi,
+                "slope": seg.slope,
+                "intercept": seg.intercept,
+                "r_squared": r2,
+            }
+            for seg, r2 in fitted
+        ],
+        "residual_rms_cm": result.residual_rms,
+    }
+    rows_out = [
+        [seg.h_lo, "inf" if seg.h_hi is None else seg.h_hi, seg.slope, seg.intercept, r2]
+        for seg, r2 in fitted
+    ]
+    _emit(
+        settings, payload, ["h_lo", "h_hi", "slope", "intercept", "r_squared"], rows_out,
+        f"residual_rms_cm   {_num(result.residual_rms)}\n",
+    )
     return 0
 
 
 def _breakpoint_list(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad breakpoint list {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"breakpoints must be finite, got {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

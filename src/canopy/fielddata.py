@@ -97,7 +97,34 @@ def _parse_positive(text: str, column: str, row: int) -> float:
     return value
 
 
-def load_measurements(path: str | Path, format: str = "csv") -> list[Measurement]:
+def _read_table(
+    path: str | Path, required: Sequence[str]
+) -> tuple[dict[str, int], list[list[str]]]:
+    """Column positions and data rows of a CSV file with a header row.
+
+    ``#``-prefixed and blank lines are skipped, and header names are
+    stripped and lower-cased.  An empty file gives no columns and no rows.
+
+    Raises:
+        ParseError: If a ``required`` column is missing from the header.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = [
+            line
+            for line in csv.reader(handle)
+            if line and any(cell.strip() for cell in line)
+            and not line[0].lstrip().startswith("#")
+        ]
+    if not rows:
+        return {}, []
+    header = [cell.strip().lower() for cell in rows[0]]
+    for name in required:
+        if name not in header:
+            raise ParseError(f"missing column {name!r} in header")
+    return {name: header.index(name) for name in header}, rows[1:]
+
+
+def load_measurements(path: str | Path) -> list[Measurement]:
     """Load measurements from a CSV file.
 
     Expected header: ``wood,height_cm,girth_cm,diameter_cm`` (the two
@@ -113,24 +140,9 @@ def load_measurements(path: str | Path, format: str = "csv") -> list[Measurement
         ValidationError: Nonpositive values, or both/neither of
             girth/diameter present.
     """
-    if format != "csv":
-        raise ValueError(f"unsupported format {format!r}")
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = [
-            line
-            for line in csv.reader(handle)
-            if line and any(cell.strip() for cell in line)
-            and not line[0].lstrip().startswith("#")
-        ]
-    if not rows:
-        return []
-    header = [cell.strip().lower() for cell in rows[0]]
-    for required in ("wood", "height_cm"):
-        if required not in header:
-            raise ParseError(f"missing column {required!r} in header")
-    if "girth_cm" not in header and "diameter_cm" not in header:
+    index, rows = _read_table(path, ("wood", "height_cm"))
+    if index and "girth_cm" not in index and "diameter_cm" not in index:
         raise ParseError("header needs a girth_cm or diameter_cm column")
-    index = {name: header.index(name) for name in header}
 
     def cell(line: list[str], column: str) -> str:
         pos = index.get(column)
@@ -139,7 +151,7 @@ def load_measurements(path: str | Path, format: str = "csv") -> list[Measurement
         return line[pos].strip()
 
     measurements = []
-    for row_number, line in enumerate(rows[1:], start=1):
+    for row_number, line in enumerate(rows, start=1):
         wood = _parse_wood(cell(line, "wood"), row_number)
         height = _parse_positive(cell(line, "height_cm"), "height_cm", row_number)
         girth_text = cell(line, "girth_cm")
@@ -206,7 +218,8 @@ def fit_piecewise_linear(
 
     Args:
         points: (height_cm, diameter_cm) pairs.
-        breakpoints: Strictly increasing positive segment boundaries.
+        breakpoints: Strictly increasing, positive, finite segment
+            boundaries.
         wood: Optional wood tag recorded on the fitted model.
 
     Raises:
@@ -219,6 +232,8 @@ def fit_piecewise_linear(
     if any(h < 0.0 for h, _ in pts):
         raise ValidationError("heights must be nonnegative")
     bps = [float(b) for b in breakpoints]
+    if not all(map(math.isfinite, bps)):
+        raise ValidationError(f"breakpoints must be finite, got {bps}")
     if any(b <= 0.0 for b in bps) or sorted(set(bps)) != bps:
         raise ValidationError("breakpoints must be positive and strictly increasing")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
-from .errors import DomainError, RangeError, ValidationError, anywhere
+from .errors import DomainError, RangeError, ValidationError, anywhere, require_finite
 
 __all__ = [
     "WoodType",
@@ -160,6 +160,19 @@ class DiameterSegment:
     slope: float
     intercept: float
 
+    def __post_init__(self):
+        require_finite(
+            "diameter segment",
+            h_lo=self.h_lo, slope=self.slope, intercept=self.intercept,
+        )
+        if self.h_hi is not None:
+            require_finite("diameter segment", h_hi=self.h_hi)
+
+    def covers(self, h: Numeric) -> Numeric:
+        """Whether ``h`` lies in ``[h_lo, h_hi)``: the one rule that picks
+        a height's segment, elementwise for an ndarray."""
+        return (h >= self.h_lo) & (h < (math.inf if self.h_hi is None else self.h_hi))
+
     def diameter(self, h: Numeric) -> Numeric:
         return self.slope * h + self.intercept
 
@@ -260,14 +273,6 @@ def _growth_curve(spec: SpeciesSpec, t: Numeric) -> Numeric:
     return -_EXP_SCALE_CM * _namespace(t).expm1(_EXP_LOG_BASE[spec.wood] * t)
 
 
-def _curve_start_height(spec: SpeciesSpec) -> float:
-    if spec.size is SizeClass.SHRUB:
-        return SHRUB_GROWTH_CM_PER_YEAR * spec.domain_start
-    if spec.wood is WoodType.CONIFER:
-        return _CONIFER_OFFSET_CM
-    return 0.0
-
-
 def _curve_sup_height(spec: SpeciesSpec) -> float:
     """Supremum of the bare growth branch (not attained)."""
     if spec.size is SizeClass.SHRUB:
@@ -351,7 +356,7 @@ def time_at_height(spec: SpeciesSpec, h: float) -> float:
     h = float(h)
     if h < 0.0:
         raise DomainError("height must be nonnegative")
-    start_h = _curve_start_height(spec)
+    start_h = _growth_curve(spec, spec.domain_start)
     if h < start_h:
         raise RangeError(
             f"height {h} cm is below the curve start ({start_h} cm at "
@@ -389,17 +394,8 @@ def diameter_from_height(model: DiameterModel, h: Numeric) -> Numeric:
     # exact zeros to one value
     out = 0.0
     for seg in model.segments:
-        upper = math.inf if seg.h_hi is None else seg.h_hi
-        out = out + ((h >= seg.h_lo) & (h < upper)) * seg.diameter(h)
+        out = out + seg.covers(h) * seg.diameter(h)
     return out
-
-
-def _segment_index(model: DiameterModel, h: float) -> int:
-    for i, seg in enumerate(model.segments):
-        upper = math.inf if seg.h_hi is None else seg.h_hi
-        if seg.h_lo <= h < upper:
-            return i
-    raise DomainError(f"height {h} outside model range")
 
 
 @dataclass(frozen=True)
@@ -446,9 +442,9 @@ def integration_segments(
     in-process interval to integrate).
 
     Raises:
-        DomainError: If ``horizon <= spec.domain_start``.
+        DomainError: If ``horizon`` is nan or ``<= spec.domain_start``.
     """
-    if horizon <= spec.domain_start:
+    if not horizon > spec.domain_start:
         raise DomainError(
             f"horizon must exceed domain start {spec.domain_start}"
         )
@@ -480,7 +476,7 @@ def integration_segments(
         mid = 0.5 * (lo + hi)
         on_cap = cap_t is not None and mid >= cap_t
         h_mid = spec.cap_height if on_cap else uncapped_height(spec, mid)
-        seg = model.segments[_segment_index(model, h_mid)]
+        seg = next(s for s in model.segments if s.covers(h_mid))
         branch = "capped height" if on_cap else "growth branch"
         pieces.append(
             TimeSegment(

@@ -6,7 +6,6 @@ each cohort's credit to the greening business by its years of stewardship
 (linear time share: ``total * steward_years / horizon``).
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -22,8 +21,8 @@ from .errors import (
     ValidationError,
     require_finite,
 )
-from .growth import DiameterModel, SizeClass, SpeciesSpec, WoodType
-from .quadrature import DEFAULT_QUADRATURE, Quadrature
+from .fielddata import _read_table
+from .growth import SizeClass, SpeciesSpec, WoodType
 from .removal import RemovalModel
 
 __all__ = [
@@ -125,8 +124,6 @@ def evaluate_portfolio(
     *,
     removal_models: Mapping[SizeClass, RemovalModel] | None = None,
     constant: CarbonConstant | None = None,
-    diameter_models: Mapping[WoodType, DiameterModel] | None = None,
-    quadrature: Quadrature = DEFAULT_QUADRATURE,
 ) -> PortfolioReport:
     """Evaluate an inventory of cohorts into a portfolio report.
 
@@ -141,13 +138,10 @@ def evaluate_portfolio(
         removal_models: Removal model per size class; defaults to the
             census-derived constants.
         constant: Carbon constant; defaults to the derived default.
-        diameter_models: Diameter model per wood type; defaults built in.
-        quadrature: Tolerances for the absorption integral.
     """
     if constant is None:
         constant = carbon.default_carbon_constant()
-    if diameter_models is None:
-        diameter_models = growth.default_diameter_models()
+    diameter_models = growth.default_diameter_models()
 
     def removal_for(size: SizeClass) -> RemovalModel:
         if removal_models is not None and size in removal_models:
@@ -165,7 +159,6 @@ def evaluate_portfolio(
                 removal_for(spec.size),
                 constant,
                 params.horizon,
-                quadrature,
             )
         report = reports[spec]
         basis = (
@@ -208,23 +201,9 @@ def load_inventory(path: str | Path) -> list[PlantingCohort]:
         UnknownSpeciesError: Wood or size not among the known values.
         ValidationError: Negative count.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = [
-            line
-            for line in csv.reader(handle)
-            if line and any(cell.strip() for cell in line)
-            and not line[0].lstrip().startswith("#")
-        ]
-    if not rows:
-        return []
-    header = [cell.strip().lower() for cell in rows[0]]
-    for required in ("label", "wood", "size", "count"):
-        if required not in header:
-            raise ParseError(f"missing column {required!r} in header")
-    index = {name: header.index(name) for name in header}
-
+    index, rows = _read_table(path, ("label", "wood", "size", "count"))
     cohorts = []
-    for row_number, line in enumerate(rows[1:], start=1):
+    for row_number, line in enumerate(rows, start=1):
         def cell(column: str) -> str:
             pos = index[column]
             if pos >= len(line):

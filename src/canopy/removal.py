@@ -9,7 +9,7 @@ over the census window.  Survival after t years is ``(1 - p)^t``.
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ValidationError, anywhere
+from .errors import DomainError, ValidationError, anywhere, require_finite
 from .growth import Numeric, SizeClass
 
 __all__ = [
@@ -53,6 +53,13 @@ class CensusInput:
     storm_felled: float = 0.0
 
     def __post_init__(self):
+        require_finite(
+            "census",
+            standing_stock=self.standing_stock,
+            assumed_lifespan=self.assumed_lifespan,
+            horizon=self.horizon,
+            storm_felled=self.storm_felled,
+        )
         if self.standing_stock <= 0.0:
             raise ValidationError("standing_stock must be positive")
         if self.assumed_lifespan <= 0.0:

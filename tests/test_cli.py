@@ -251,6 +251,24 @@ class TestDeriveP:
         assert payload["p"] == pytest.approx(0.0256977, rel=1e-5)
         assert payload["expected_lifespan_years"] == pytest.approx(38.41, abs=0.01)
 
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [
+            ("--stock", "nan", "standing_stock"),
+            ("--storm-felled", "nan", "storm_felled"),
+            ("--lifespan", "inf", "assumed_lifespan"),
+            ("--horizon", "inf", "horizon"),
+            ("--stock", "-5", "standing_stock"),
+        ],
+    )
+    def test_bad_census_is_usage_error(self, capsys, flag, value, field):
+        census = {"--stock": "1000", "--lifespan": "35", "--horizon": "15"}
+        census[flag] = value
+        argv = ["derive-p"] + [part for item in census.items() for part in item]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert field in err
+
     def test_overremoval_is_data_error(self, capsys):
         code, _, err = run(
             capsys, "derive-p", "--stock", "1000", "--lifespan", "35",
@@ -300,6 +318,13 @@ class TestFit:
         )
         assert code == 1
         assert "segment" in err
+
+    @pytest.mark.parametrize("breakpoints", ["nan", "300,inf"])
+    def test_non_finite_breakpoints_are_usage_error(self, capsys, breakpoints):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fit", "--reference", "conifer", "--breakpoints", breakpoints])
+        assert excinfo.value.code == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_needs_source(self, capsys):
         code, _, err = run(capsys, "fit")

@@ -130,10 +130,6 @@ class TestLoadMeasurements:
         with pytest.raises(ParseError):
             load_measurements(path)
 
-    def test_unsupported_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            load_measurements(tmp_path / "x.csv", format="parquet")
-
 
 class TestFit:
     def test_noiseless_recovery_of_builtin_model(self):
@@ -203,6 +199,13 @@ class TestFit:
             fit_piecewise_linear(points, [300.0, 200.0])
         with pytest.raises(ValidationError):
             fit_piecewise_linear(points, [-5.0])
+
+    @pytest.mark.parametrize("breakpoints", [[math.nan], [300.0, math.inf]])
+    def test_non_finite_breakpoints(self, breakpoints):
+        # nan passes both ``b <= 0`` and the sorted-set comparison
+        points = [(10.0, 1.0), (20.0, 2.0), (400.0, 8.0), (500.0, 11.0)]
+        with pytest.raises(ValidationError, match="finite"):
+            fit_piecewise_linear(points, breakpoints)
 
     def test_decreasing_data_violates_model(self):
         points = [(10.0, 5.0), (50.0, 4.0), (90.0, 3.0)]

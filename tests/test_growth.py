@@ -206,6 +206,19 @@ class TestDiameter:
         with pytest.raises(ValidationError):  # must end open
             DiameterModel(None, (seg(0.0, 100.0, 0.01, 0.0),))
 
+    @pytest.mark.parametrize(
+        "field,row",
+        [
+            ("h_lo", (math.nan, None, 0.01, 0.0)),
+            ("h_hi", (0.0, math.inf, 0.01, 0.0)),
+            ("slope", (0.0, None, math.nan, 0.0)),
+            ("intercept", (0.0, None, 0.01, -math.inf)),
+        ],
+    )
+    def test_segment_rejects_non_finite(self, field, row):
+        with pytest.raises(ValidationError, match=field):
+            DiameterSegment(*row)
+
 
 class TestSpecies:
     def test_all_species_covers_nine(self):

@@ -6,8 +6,6 @@ import pytest
 from canopy import (
     DomainError,
     IntegrationError,
-    Quadrature,
-    ValidationError,
     integrate,
 )
 
@@ -33,7 +31,7 @@ class TestIntegrate:
     def test_discontinuity_exhausts_depth(self):
         step = lambda x: 0.0 if x < 0.5 else 1.0
         with pytest.raises(IntegrationError):
-            integrate(step, 0.0, 1.0, Quadrature(max_depth=8))
+            integrate(step, 0.0, 1.0)
 
     def test_chance_agreement_is_not_accepted(self):
         # x^4 - 0.8 x^6 makes the 3- and 5-point Simpson sums on [-1, 1]
@@ -65,26 +63,19 @@ class TestIntegrate:
             default_carbon_constant,
             default_diameter_models,
             default_removal_model,
-            in_process_integrand,
+            integration_segments,
+            segment_integrand,
             species,
         )
 
         spec = species("evergreen", "tall")
-        f = in_process_integrand(
-            spec,
-            default_diameter_models()[spec.wood],
-            default_removal_model(spec.size),
-            default_carbon_constant(),
+        model = default_diameter_models()[spec.wood]
+        piece = integration_segments(spec, model, 100.0)[-1]
+        assert (piece.t_lo, piece.t_hi) == (pytest.approx(5.04914, abs=1e-5), 99.0)
+        f = segment_integrand(
+            spec, piece, default_removal_model(spec.size), default_carbon_constant()
         )
-        assert integrate(f, 5.04914, 99.0) == pytest.approx(6.4738, rel=0.005)
-
-    def test_tolerance_validation(self):
-        with pytest.raises(ValidationError):
-            Quadrature(abs_tol=0.0)
-        with pytest.raises(ValidationError):
-            Quadrature(rel_tol=-1e-9)
-        with pytest.raises(ValidationError):
-            Quadrature(max_depth=0)
+        assert integrate(f, piece.t_lo, piece.t_hi) == pytest.approx(6.4738, rel=0.005)
 
 
 class TestReferenceRule:
