@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import growth
-from .errors import DomainError, ValidationError, require_finite
+from .errors import ValidationError, require_finite
 from .growth import DiameterModel, Numeric, SpeciesSpec, TimeSegment
 from .quadrature import integrate
 from .removal import RemovalModel, survival_fraction
@@ -177,8 +177,7 @@ def creditable_absorption(
 ) -> float:
     """Survivor term ``(1-p)^horizon * stored(horizon)``: the CO2 in trees
     still standing at the horizon, the proposed credit basis."""
-    if horizon <= spec.domain_start:
-        raise DomainError(f"horizon must exceed domain start {spec.domain_start}")
+    growth._check_horizon(spec, horizon)
     weight = survival_fraction(removal, float(horizon))
     return weight * stored_co2(spec, model, constant, float(horizon))
 
@@ -237,7 +236,7 @@ def expected_absorption(
     ``horizon - 1``); the survivor term uses exponent ``horizon``.
 
     Raises:
-        DomainError: If ``horizon`` is nan or ``<= spec.domain_start``.
+        DomainError: If ``horizon`` is not finite or ``<= spec.domain_start``.
         IntegrationError: If the quadrature cannot reach its tolerance.
     """
     pieces = growth.integration_segments(spec, model, horizon)

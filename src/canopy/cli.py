@@ -388,13 +388,13 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             rows = tuple(m for m in measurements if m.wood is wood)
             if not rows:
                 raise _UsageError(f"no {wood.value} rows in {args.measurements}")
+        elif not measurements:
+            raise _UsageError(f"no measurement rows in {args.measurements}")
         elif len(woods) == 1:
             wood = next(iter(woods))
             rows = tuple(measurements)
         else:
-            raise _UsageError(
-                "file mixes wood types; pick one with --wood"
-            )
+            raise _UsageError("file mixes wood types; pick one with --wood")
     breakpoints = (
         tuple(args.breakpoints)
         if args.breakpoints is not None

@@ -87,10 +87,6 @@ _CAP_BY_SIZE = {
 }
 
 
-def _domain_start_for(wood: "WoodType") -> float:
-    return CONIFER_DOMAIN_START_YEARS if wood is WoodType.CONIFER else 0.0
-
-
 @dataclass(frozen=True)
 class SpeciesSpec:
     """One of the nine wood-type x size-class growth cases.
@@ -98,35 +94,33 @@ class SpeciesSpec:
     Attributes:
         wood: Wood type selecting the growth curve and diameter model.
         size: Size class selecting the cap rule.
+        continuous_cap: Use ``min(curve, cap_height)`` instead of snapping
+            to the cap height at the cap age.  Non-default variant; the
+            reference tables are reproduced with ``False``.
+
+    Derived from ``wood`` and ``size`` on construction, and left out of
+    equality, hashing and ``repr``:
         cap_height: Height held after the cap age (cm); ``None`` for tall.
         cap_time: Age at which growth stops (years); ``None`` for tall.
         domain_start: First valid age (1 for conifers, whose curve is
             undefined below t = 1; 0 otherwise).
-        continuous_cap: Use ``min(curve, cap_height)`` instead of snapping
-            to the cap height at the cap age.  Non-default variant; the
-            reference tables are reproduced with ``False``.
     """
 
     wood: WoodType
     size: SizeClass
-    cap_height: float | None
-    cap_time: float | None
-    domain_start: float
     continuous_cap: bool = False
+    # plain attributes rather than properties: the integrand reads
+    # domain_start on every evaluation
+    cap_height: float | None = field(init=False, repr=False, compare=False)
+    cap_time: float | None = field(init=False, repr=False, compare=False)
+    domain_start: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        expected_cap = _CAP_BY_SIZE[self.size]
-        if (self.cap_height, self.cap_time) != expected_cap:
-            raise ValidationError(
-                f"{self.size.value} specs must have cap {expected_cap}, "
-                f"got ({self.cap_height}, {self.cap_time})"
-            )
-        expected_start = _domain_start_for(self.wood)
-        if self.domain_start != expected_start:
-            raise ValidationError(
-                f"{self.wood.value} specs start at t = {expected_start}, "
-                f"got {self.domain_start}"
-            )
+        cap_height, cap_time = _CAP_BY_SIZE[self.size]
+        start = CONIFER_DOMAIN_START_YEARS if self.wood is WoodType.CONIFER else 0.0
+        object.__setattr__(self, "cap_height", cap_height)
+        object.__setattr__(self, "cap_time", cap_time)
+        object.__setattr__(self, "domain_start", start)
 
 
 def species(
@@ -136,12 +130,7 @@ def species(
     continuous_cap: bool = False,
 ) -> SpeciesSpec:
     """Build the spec for a wood type and size class."""
-    wood = WoodType(wood)
-    size = SizeClass(size)
-    cap_height, cap_time = _CAP_BY_SIZE[size]
-    return SpeciesSpec(
-        wood, size, cap_height, cap_time, _domain_start_for(wood), continuous_cap
-    )
+    return SpeciesSpec(WoodType(wood), SizeClass(size), continuous_cap)
 
 
 def all_species() -> tuple[SpeciesSpec, ...]:
@@ -309,8 +298,8 @@ def height(spec: SpeciesSpec, t: Numeric) -> Numeric:
 
     Medium trees and shrubs return ``cap_height`` for ``t >= cap_time``
     and the bare curve before that; the pre-cap branch is not clamped even
-    where it exceeds the cap height.  With ``spec.continuous_cap`` the
-    result is ``min(curve, cap_height)`` instead.
+    where it exceeds the cap height.  With ``spec.continuous_cap`` the cap
+    holds once the curve reaches it, giving ``min(curve, cap_height)``.
 
     Args:
         spec: Species case to evaluate.
@@ -325,12 +314,10 @@ def height(spec: SpeciesSpec, t: Numeric) -> Numeric:
             ``1 - e^(-0.00592 (t-1))`` turns negative).
     """
     curve = uncapped_height(spec, t)
-    if spec.cap_height is None:
+    cap_t = _cap_boundary(spec)
+    if cap_t is None:
         return curve
-    if spec.continuous_cap:
-        on_cap = curve > spec.cap_height
-    else:
-        on_cap = t >= spec.cap_time
+    on_cap = t >= cap_t
     if on_cap.__class__ is bool or on_cap.ndim == 0:
         return spec.cap_height if on_cap else curve
     out = curve.copy()
@@ -343,9 +330,8 @@ def time_at_height(spec: SpeciesSpec, h: float) -> float:
 
     Inverts the bare growth curve (the cap is ignored, so the result may
     exceed the cap age; callers placing integration boundaries filter by
-    the cap themselves).  Evergreen, deciduous and shrub curves invert in
-    closed form; the conifer curve is inverted by bisection on [1, 1e4]
-    to an absolute tolerance of 1e-9 years.
+    the cap themselves).  Every curve inverts in closed form; the conifer
+    one as ``t = 1 - ln(1 - ((h - 35)/5471)^(1/0.65669)) / 0.00592``.
 
     Raises:
         DomainError: If ``h`` is negative.
@@ -371,14 +357,8 @@ def time_at_height(spec: SpeciesSpec, h: float) -> float:
         return h / SHRUB_GROWTH_CM_PER_YEAR
     if spec.wood is not WoodType.CONIFER:
         return math.log(1.0 - h / _EXP_SCALE_CM) / _EXP_LOG_BASE[spec.wood]
-    lo, hi = 1.0, 1e4
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if _conifer_curve(mid) < h:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    frac = ((h - _CONIFER_OFFSET_CM) / _CONIFER_SCALE_CM) ** (1.0 / _CONIFER_SHAPE)
+    return 1.0 - math.log1p(-frac) / _CONIFER_RATE
 
 
 def diameter_from_height(model: DiameterModel, h: Numeric) -> Numeric:
@@ -415,6 +395,7 @@ class TimeSegment:
 
 
 def _cap_boundary(spec: SpeciesSpec) -> float | None:
+    """Age from which height sits on the cap; ``None`` if it never does."""
     if spec.cap_time is None:
         return None
     if not spec.continuous_cap:
@@ -423,6 +404,14 @@ def _cap_boundary(spec: SpeciesSpec) -> float | None:
         return time_at_height(spec, spec.cap_height)
     except RangeError:
         return None  # curve never reaches the cap; no kink to split at
+
+
+def _check_horizon(spec: SpeciesSpec, horizon: float) -> None:
+    """The one horizon check of the library: finite and past the start."""
+    if not math.isfinite(horizon):
+        raise DomainError(f"horizon must be finite, got {horizon}")
+    if horizon <= spec.domain_start:
+        raise DomainError(f"horizon must exceed domain start {spec.domain_start}")
 
 
 def integration_segments(
@@ -442,12 +431,9 @@ def integration_segments(
     in-process interval to integrate).
 
     Raises:
-        DomainError: If ``horizon`` is nan or ``<= spec.domain_start``.
+        DomainError: If ``horizon`` is not finite or ``<= spec.domain_start``.
     """
-    if not horizon > spec.domain_start:
-        raise DomainError(
-            f"horizon must exceed domain start {spec.domain_start}"
-        )
+    _check_horizon(spec, horizon)
     upper = horizon - 1.0
     if upper <= spec.domain_start:
         return ()

@@ -6,6 +6,7 @@ from canopy import (
     AbsorptionReport,
     CarbonConstant,
     CarbonFactors,
+    DomainError,
     RemovalModel,
     SegmentAbsorption,
     ValidationError,
@@ -117,6 +118,22 @@ class TestCreditable:
             spec, models[spec.wood], RemovalModel(0.999999), constant
         )
         assert value < 1e-100
+
+    @pytest.mark.parametrize("function", [creditable_absorption, expected_absorption])
+    @pytest.mark.parametrize(
+        "wood,horizon,message",
+        [
+            ("evergreen", math.nan, "finite"),
+            ("evergreen", math.inf, "finite"),
+            ("evergreen", -math.inf, "finite"),
+            ("evergreen", -1.0, "domain start 0.0"),
+            ("conifer", 0.5, "domain start 1.0"),
+        ],
+    )
+    def test_horizon_rejected(self, models, constant, function, wood, horizon, message):
+        spec = species(wood, "tall")
+        with pytest.raises(DomainError, match=message):
+            function(spec, models[spec.wood], RemovalModel(0.027309), constant, horizon)
 
     def test_monotone_in_p(self, models, constant):
         spec = species("deciduous", "tall")

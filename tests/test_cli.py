@@ -339,6 +339,14 @@ class TestFit:
         assert code == 2
         assert "--wood" in err
 
+    @pytest.mark.parametrize("content", ["", "wood,height_cm,girth_cm\n"])
+    def test_file_without_rows_is_usage_error(self, capsys, tmp_path, content):
+        path = tmp_path / "m.csv"
+        path.write_text(content)
+        code, out, err = run(capsys, "fit", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"canopy: error: no measurement rows in {path}\n"
+
 
 class TestConfig:
     def test_config_file_overrides(self, capsys, tmp_path):

@@ -1,4 +1,6 @@
+import inspect
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from canopy import (
     DomainError,
     RangeError,
     SizeClass,
+    SpeciesSpec,
     ValidationError,
     WoodType,
     all_species,
@@ -25,6 +28,7 @@ from canopy.growth import (
     uncapped_height,
 )
 
+from decimal_forms import conifer_time_at_height
 from reference_values import BOUNDARIES
 
 REL = 1e-6
@@ -132,6 +136,16 @@ class TestTimeAtHeight:
                     continue
                 assert time_at_height(spec, h) == pytest.approx(float(t), abs=1e-6)
 
+    def test_conifer_inverse_matches_decimal(self):
+        # 2,003 heights across [35, 5506): the inverse's condition number
+        # grows without bound towards the supremum 5506, and stays below
+        # about 300 on this grid
+        spec = species("conifer", "tall")
+        for k in range(2003):
+            h = 35.0 + 5471.0 * k / 2003
+            exact = conifer_time_at_height(h)
+            assert abs(Decimal(time_at_height(spec, h)) - exact) <= Decimal("1e-12") * exact, h
+
     def test_unreachable_heights(self):
         with pytest.raises(RangeError):
             time_at_height(species("evergreen", "tall"), 2500.0)
@@ -226,13 +240,33 @@ class TestSpecies:
         assert len(specs) == 9
         assert len({(s.wood, s.size) for s in specs}) == 9
 
-    def test_cap_invariants_enforced(self):
-        from canopy import SpeciesSpec
+    @pytest.mark.parametrize("continuous_cap", [False, True])
+    @pytest.mark.parametrize("size", list(SizeClass))
+    @pytest.mark.parametrize("wood", list(WoodType))
+    def test_derived_attributes(self, wood, size, continuous_cap):
+        caps = {"tall": (None, None), "medium": (850.0, 16.412), "shrub": (400.0, 3.72093)}
+        spec = SpeciesSpec(wood, size, continuous_cap)
+        assert (spec.cap_height, spec.cap_time) == caps[size.value]
+        assert spec.domain_start == (1.0 if wood is WoodType.CONIFER else 0.0)
+        # instance attributes, set once, rather than properties
+        assert {"cap_height", "cap_time", "domain_start"} <= set(vars(spec))
+        assert spec == species(wood.value, size.value, continuous_cap=continuous_cap)
+        # equality and hashing see (wood, size, continuous_cap) alone
+        every = {
+            SpeciesSpec(w, s, c) for w in WoodType for s in SizeClass for c in (False, True)
+        }
+        assert len(every) == 18
+        assert [other for other in every if other == spec] == [spec]
+        assert hash(spec) == hash((wood, size, continuous_cap))
 
-        with pytest.raises(ValidationError):
-            SpeciesSpec(WoodType.EVERGREEN, SizeClass.MEDIUM, 900.0, 16.412, 0.0)
-        with pytest.raises(ValidationError):
-            SpeciesSpec(WoodType.CONIFER, SizeClass.TALL, None, None, 0.0)
+    def test_constructor_takes_wood_size_and_cap_mode_only(self):
+        assert list(inspect.signature(SpeciesSpec).parameters) == [
+            "wood", "size", "continuous_cap",
+        ]
+        assert repr(species("conifer", "shrub")) == (
+            "SpeciesSpec(wood=<WoodType.CONIFER: 'conifer'>, "
+            "size=<SizeClass.SHRUB: 'shrub'>, continuous_cap=False)"
+        )
 
     def test_domain_start(self):
         assert species("conifer", "shrub").domain_start == 1.0
@@ -287,6 +321,20 @@ class TestIntegrationSegments:
         assert integration_segments(spec, models[spec.wood], 0.5) == ()
         with pytest.raises(DomainError):
             integration_segments(species("conifer", "tall"), models[WoodType.CONIFER], 1.0)
+
+    @pytest.mark.parametrize(
+        "horizon,message",
+        [
+            (math.nan, "finite"),
+            (math.inf, "finite"),
+            (-math.inf, "finite"),
+            (0.0, "domain start 0.0"),
+        ],
+    )
+    def test_horizon_rejected(self, models, horizon, message):
+        spec = species("evergreen", "tall")
+        with pytest.raises(DomainError, match=message):
+            integration_segments(spec, models[spec.wood], horizon)
 
     def test_continuous_cap_moves_cap_boundary(self, models):
         spec = species("deciduous", "medium", continuous_cap=True)
