@@ -20,11 +20,10 @@ values require this exact form).  Conifers integrate from t = 1, losing
 """
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from . import growth
-from .errors import ValidationError, require_finite
+from .errors import Record, ValidationError, require_finite
 from .growth import DiameterModel, Numeric, SpeciesSpec, TimeSegment
 from .quadrature import integrate
 from .removal import RemovalModel, survival_fraction
@@ -49,8 +48,7 @@ __all__ = [
 CO2_PER_CARBON = 44.0 / 12.0  # molar-mass ratio, t-C -> t-CO2
 
 
-@dataclass(frozen=True)
-class CarbonFactors:
+class CarbonFactors(Record):
     """Biomass-to-carbon conversion factors from national inventory data.
 
     Attributes:
@@ -81,8 +79,7 @@ class CarbonFactors:
             raise ValidationError(f"root-to-shoot ratio {self.rtsr} fails sanity bound")
 
 
-@dataclass(frozen=True)
-class CarbonConstant:
+class CarbonConstant(Record):
     """Tonnes of CO2 per cm3 of trunk cylinder; always derived from
     :class:`CarbonFactors`, never hand-set in reports."""
 
@@ -182,8 +179,7 @@ def creditable_absorption(
     return weight * stored_co2(spec, model, constant, float(horizon))
 
 
-@dataclass(frozen=True)
-class SegmentAbsorption:
+class SegmentAbsorption(Record):
     """In-process absorption accumulated over one time segment."""
 
     t_lo: float
@@ -192,8 +188,7 @@ class SegmentAbsorption:
     value: float
 
 
-@dataclass(frozen=True)
-class AbsorptionReport:
+class AbsorptionReport(Record):
     """Per-tree absorption over the horizon, segment by segment.
 
     ``expected_total`` always equals the segment sum plus ``creditable``;
@@ -265,8 +260,7 @@ def expected_absorption(
     )
 
 
-@dataclass(frozen=True)
-class BreakdownRow:
+class BreakdownRow(Record):
     """One row of the per-period breakdown table."""
 
     period: str

@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 from typing import Sequence
 
 from . import __version__
@@ -25,7 +24,7 @@ from .carbon import (
     default_carbon_factors,
     expected_absorption,
 )
-from .errors import CanopyError, ValidationError
+from .errors import CanopyError, Record, ValidationError
 from .fielddata import (
     default_breakpoints,
     fit_piecewise_linear,
@@ -41,7 +40,9 @@ from .growth import (
     species,
 )
 from .portfolio import (
+    CohortResult,
     CreditMode,
+    PlantingCohort,
     ProjectParams,
     evaluate_portfolio,
     load_inventory,
@@ -68,8 +69,7 @@ class _UsageError(Exception):
     """Bad arguments or config; maps to exit code 2."""
 
 
-@dataclass
-class CliConfig:
+class CliConfig(Record):
     """Optional overrides loaded from a JSON config file."""
 
     p_tall: float | None = None
@@ -97,7 +97,7 @@ def _load_config(path: str | None) -> CliConfig:
         raise _UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise _UsageError(f"config {path} must hold a JSON object")
-    known = {f.name for f in fields(CliConfig)}
+    known = set(CliConfig._fields)
     unknown = sorted(set(raw) - known)
     if unknown:
         raise _UsageError(f"unknown config keys: {', '.join(unknown)}")
@@ -112,8 +112,7 @@ def _load_config(path: str | None) -> CliConfig:
     return CliConfig(**raw)
 
 
-@dataclass
-class _Settings:
+class _Settings(Record):
     """Fully-resolved run settings (flags > config > defaults)."""
 
     p_tall: RemovalModel
@@ -294,11 +293,7 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
     cohorts = load_inventory(args.inventory)
     if settings.continuous_cap:
         cohorts = [
-            type(c)(
-                spec=species(c.spec.wood, c.spec.size, continuous_cap=True),
-                count=c.count,
-                label=c.label,
-            )
+            PlantingCohort(species(c.spec.wood, c.spec.size, continuous_cap=True), c.count, c.label)
             for c in cohorts
         ]
     report = evaluate_portfolio(
@@ -311,18 +306,9 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
         },
         constant=carbon_constant(settings.factors),
     )
-    # keys mirror the PortfolioReport / CohortResult field names
-    per_cohort = [
-        {
-            "label": r.label,
-            "count": r.count,
-            "per_tree_total": r.per_tree_total,
-            "per_tree_creditable": r.per_tree_creditable,
-            "cohort_credit": r.cohort_credit,
-            "steward_share": r.steward_share,
-        }
-        for r in report.per_cohort
-    ]
+    # keys and columns are the PortfolioReport / CohortResult field names
+    header = list(CohortResult._fields)
+    per_cohort = [{name: getattr(r, name) for name in header} for r in report.per_cohort]
     payload = {
         "horizon_years": params.horizon,
         "credit_mode": params.credit_mode.value,
@@ -333,10 +319,6 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
         "net_credit": report.net_credit,
         "shortfall": report.shortfall,
     }
-    header = [
-        "label", "count", "per_tree_total", "per_tree_creditable",
-        "cohort_credit", "steward_share",
-    ]
     rows = [list(cohort.values()) for cohort in per_cohort]
     shares = math.fsum(r.steward_share for r in report.per_cohort)
     rows.append(["TOTAL", "", "", "", report.gross_credit, shares])

@@ -1,4 +1,5 @@
-"""Exception hierarchy and the input checks shared across the package."""
+"""Exception hierarchy, the input checks shared across the package, and
+the immutable record base of its value types."""
 
 import math
 
@@ -61,3 +62,48 @@ def require_finite(owner: str, **values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValidationError(f"{owner}: {name} must be finite, got {value}")
+
+
+class Record:
+    """Immutable value record, the base of every canopy value type.
+
+    A subclass's annotated names are its fields (``_fields``, in order),
+    and a class attribute gives a field its default.  Each subclass gets a
+    generated ``__init__``, which ends by calling ``__post_init__`` where
+    defined, and ``==`` and ``hash`` over its fields or over the names
+    passed as the ``compare`` class keyword.  Values that ``__post_init__``
+    derives with ``object.__setattr__`` stay out of all three and ``repr``.
+    """
+
+    def __init_subclass__(cls, compare: tuple[str, ...] | None = None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        annotations = cls.__dict__.get("__annotations__", {})
+        cls._fields = names = tuple(annotations)
+        params = ", ".join(f"{n}=_cls.{n}" if n in cls.__dict__ else n for n in names)
+        mine = ", ".join(f"self.{n}" for n in compare or names)
+        theirs = mine.replace("self.", "other.")
+        post = "self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+        # compiled once per class, so a call costs what hand-written code would
+        namespace = {"_set": object.__setattr__, "_cls": cls, "__name__": cls.__module__}
+        exec(
+            f"def __init__(self, {params}):\n"
+            + "".join(f" _set(self, {n!r}, {n})\n" for n in names)
+            + f" {post}\ndef __eq__(self, other):\n"
+            " if other.__class__ is not self.__class__: return NotImplemented\n"
+            f" return ({mine},) == ({theirs},)\n"
+            f"def __hash__(self): return hash(({mine},))\n",
+            namespace,
+        )
+        for name in ("__init__", "__eq__", "__hash__"):
+            namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, namespace[name])
+        cls.__init__.__annotations__ = {**annotations, "return": None}
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__

@@ -8,13 +8,13 @@ coefficients by per-segment ordinary least squares.
 
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import (
     DomainError,
     ParseError,
+    Record,
     UnderdeterminedError,
     ValidationError,
 )
@@ -36,8 +36,7 @@ __all__ = [
 GIRTH_PI = 3.14
 
 
-@dataclass(frozen=True)
-class Measurement:
+class Measurement(Record):
     """One height/girth/diameter observation for a wood type.
 
     At ingest exactly one of ``girth``/``diameter`` is given; the loader
@@ -51,8 +50,7 @@ class Measurement:
     diameter: float | None = None
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """Fitted diameter model with per-segment diagnostics."""
 
     model: DiameterModel

@@ -15,11 +15,10 @@ upper segment owns each boundary height.
 """
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
-from .errors import DomainError, RangeError, ValidationError, anywhere, require_finite
+from .errors import DomainError, RangeError, Record, ValidationError, anywhere, require_finite
 
 __all__ = [
     "WoodType",
@@ -87,8 +86,7 @@ _CAP_BY_SIZE = {
 }
 
 
-@dataclass(frozen=True)
-class SpeciesSpec:
+class SpeciesSpec(Record):
     """One of the nine wood-type x size-class growth cases.
 
     Attributes:
@@ -98,8 +96,9 @@ class SpeciesSpec:
             to the cap height at the cap age.  Non-default variant; the
             reference tables are reproduced with ``False``.
 
-    Derived from ``wood`` and ``size`` on construction, and left out of
-    equality, hashing and ``repr``:
+    Derived from ``wood`` and ``size`` on construction, as plain
+    attributes (the integrand reads ``domain_start`` on every evaluation)
+    left out of ``__init__``, equality, hashing and ``repr``:
         cap_height: Height held after the cap age (cm); ``None`` for tall.
         cap_time: Age at which growth stops (years); ``None`` for tall.
         domain_start: First valid age (1 for conifers, whose curve is
@@ -109,11 +108,6 @@ class SpeciesSpec:
     wood: WoodType
     size: SizeClass
     continuous_cap: bool = False
-    # plain attributes rather than properties: the integrand reads
-    # domain_start on every evaluation
-    cap_height: float | None = field(init=False, repr=False, compare=False)
-    cap_time: float | None = field(init=False, repr=False, compare=False)
-    domain_start: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cap_height, cap_time = _CAP_BY_SIZE[self.size]
@@ -123,14 +117,20 @@ class SpeciesSpec:
         object.__setattr__(self, "domain_start", start)
 
 
+# all 18 specs, built once: species() hands out these instances
+_SPECS = {
+    (w, s, c): SpeciesSpec(w, s, c) for w in WoodType for s in SizeClass for c in (False, True)
+}
+
+
 def species(
     wood: WoodType | str,
     size: SizeClass | str,
     *,
     continuous_cap: bool = False,
 ) -> SpeciesSpec:
-    """Build the spec for a wood type and size class."""
-    return SpeciesSpec(WoodType(wood), SizeClass(size), continuous_cap)
+    """The spec for a wood type and size class, shared between calls."""
+    return _SPECS[WoodType(wood), SizeClass(size), bool(continuous_cap)]
 
 
 def all_species() -> tuple[SpeciesSpec, ...]:
@@ -140,8 +140,7 @@ def all_species() -> tuple[SpeciesSpec, ...]:
     )
 
 
-@dataclass(frozen=True)
-class DiameterSegment:
+class DiameterSegment(Record):
     """Affine height->diameter rule active on ``[h_lo, h_hi)`` (cm)."""
 
     h_lo: float
@@ -169,8 +168,7 @@ class DiameterSegment:
         return f"d = {self.slope:g}*H{self.intercept:+g}"
 
 
-@dataclass(frozen=True)
-class DiameterModel:
+class DiameterModel(Record):
     """Piecewise-linear height->diameter map for one wood type.
 
     Segments must be contiguous (each ``h_lo`` equals the previous
@@ -378,20 +376,20 @@ def diameter_from_height(model: DiameterModel, h: Numeric) -> Numeric:
     return out
 
 
-@dataclass(frozen=True)
-class TimeSegment:
+class TimeSegment(Record, compare=("t_lo", "t_hi")):
     """One piece of the time axis with a fixed height/diameter rule.
 
     ``diameter_segment`` is the single affine rule active throughout the
     piece and ``on_cap`` says whether height sits on the cap (constant)
-    or follows the growth branch.
+    or follows the growth branch.  Equality and hashing look at the
+    bounds only.
     """
 
     t_lo: float
     t_hi: float
-    label: str = field(compare=False)
-    diameter_segment: DiameterSegment = field(compare=False)
-    on_cap: bool = field(compare=False)
+    label: str
+    diameter_segment: DiameterSegment
+    on_cap: bool
 
 
 def _cap_boundary(spec: SpeciesSpec) -> float | None:

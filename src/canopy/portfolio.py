@@ -7,7 +7,6 @@ each cohort's credit to the greening business by its years of stewardship
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -17,6 +16,7 @@ from .carbon import CarbonConstant, expected_absorption
 from .errors import (
     DomainError,
     ParseError,
+    Record,
     UnknownSpeciesError,
     ValidationError,
     require_finite,
@@ -44,8 +44,7 @@ class CreditMode(str, Enum):
     INCLUDE_IN_PROCESS = "include_in_process"
 
 
-@dataclass(frozen=True)
-class PlantingCohort:
+class PlantingCohort(Record):
     """A count of identically-specified trees in the inventory."""
 
     spec: SpeciesSpec
@@ -57,8 +56,7 @@ class PlantingCohort:
             raise ValidationError(f"cohort count must be nonnegative, got {self.count}")
 
 
-@dataclass(frozen=True)
-class ProjectParams:
+class ProjectParams(Record):
     """Project-level evaluation parameters.
 
     ``steward_years`` defaults to 3, the conventional greening-business
@@ -87,8 +85,7 @@ class ProjectParams:
             )
 
 
-@dataclass(frozen=True)
-class CohortResult:
+class CohortResult(Record):
     label: str
     count: int
     per_tree_total: float
@@ -97,8 +94,7 @@ class CohortResult:
     steward_share: float
 
 
-@dataclass(frozen=True)
-class PortfolioReport:
+class PortfolioReport(Record):
     """Aggregated credits; ``net_credit`` may be negative and is flagged
     by ``shortfall`` rather than clamped."""
 
@@ -138,6 +134,9 @@ def evaluate_portfolio(
         removal_models: Removal model per size class; defaults to the
             census-derived constants.
         constant: Carbon constant; defaults to the derived default.
+
+    Raises:
+        DomainError: If a credit or steward share passes the float range.
     """
     if constant is None:
         constant = carbon.default_carbon_constant()
@@ -179,7 +178,14 @@ def evaluate_portfolio(
                 ),
             )
         )
-    gross = math.fsum(r.cohort_credit for r in results)
+    # the one finite-credit check: an overflowing credit or steward share
+    # would print as inf, which JSON cannot even carry
+    try:
+        gross = math.fsum(r.cohort_credit for r in results)
+    except OverflowError:
+        gross = math.inf
+    if not (math.isfinite(gross) and all(math.isfinite(r.steward_share) for r in results)):
+        raise DomainError("portfolio credit overflows the float range")
     net = gross - params.project_emissions
     return PortfolioReport(
         per_cohort=tuple(results),

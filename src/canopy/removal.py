@@ -7,9 +7,8 @@ over the census window.  Survival after t years is ``(1 - p)^t``.
 """
 
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError, ValidationError, anywhere, require_finite
+from .errors import DomainError, Record, ValidationError, anywhere, require_finite
 from .growth import Numeric, SizeClass
 
 __all__ = [
@@ -28,8 +27,7 @@ DEFAULT_P_TALL = 0.027309
 DEFAULT_P_MEDIUM_SHRUB = 0.0256977
 
 
-@dataclass(frozen=True)
-class RemovalModel:
+class RemovalModel(Record):
     """Annual probability p that a standing tree is felled or falls."""
 
     p: float
@@ -39,8 +37,7 @@ class RemovalModel:
             raise ValidationError(f"p must lie in (0, 1), got {self.p}")
 
 
-@dataclass(frozen=True)
-class CensusInput:
+class CensusInput(Record):
     """Street-tree census aggregates over a steady-state window.
 
     Tree counts are real numbers, not integers: census figures are
@@ -105,8 +102,16 @@ def survival_fraction(model: RemovalModel, t: Numeric) -> Numeric:
 
 def expected_lifespan(model: RemovalModel) -> float:
     """Mean standing time in years: the integral of ``(1 - p)^t`` over
-    [0, inf), i.e. ``-1 / ln(1 - p)``."""
-    return -1.0 / math.log1p(-model.p)
+    [0, inf), i.e. ``-1 / ln(1 - p)``.
+
+    Raises:
+        DomainError: If p is so small (below about 5.6e-309) that the
+            lifespan passes the float range.
+    """
+    lifespan = -1.0 / math.log1p(-model.p)
+    if lifespan == math.inf:
+        raise DomainError(f"expected lifespan overflows for p = {model.p}")
+    return lifespan
 
 
 def default_removal_model(size: SizeClass) -> RemovalModel:

@@ -5,7 +5,6 @@ Each case puts one drawn value into one field of an otherwise valid
 value object, or into the horizon argument of the absorption functions.
 """
 
-import dataclasses
 import math
 
 import pytest
@@ -32,6 +31,7 @@ from canopy import (
     integration_segments,
     species,
 )
+from canopy.errors import Record
 
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 # the absorption functions integrate up to the horizon, so finite draws
@@ -45,19 +45,32 @@ SPECS = st.sampled_from(
 )
 MODELS = default_diameter_models()
 CONSTANT = default_carbon_constant()
+FACTORS = default_carbon_factors()
 
 
 def _numbers(value):
-    """Every float reachable from ``value`` through dataclass fields,
+    """Every float reachable from ``value`` through record fields,
     tuples and lists."""
     if isinstance(value, float):
         yield value
     elif isinstance(value, (tuple, list)):
         for item in value:
             yield from _numbers(item)
-    elif dataclasses.is_dataclass(value):
-        for f in dataclasses.fields(value):
-            yield from _numbers(getattr(value, f.name))
+    elif isinstance(value, Record):
+        for name in value._fields:
+            yield from _numbers(getattr(value, name))
+
+
+def test_numbers_walks_every_float_of_a_report():
+    spec = species("evergreen", "medium")
+    report = expected_absorption(
+        spec, MODELS[spec.wood], default_removal_model(spec.size), CONSTANT
+    )
+    segments = [x for s in report.segments for x in (s.t_lo, s.t_hi, s.value)]
+    assert len(report.segments) >= 3
+    assert list(_numbers(report)) == [
+        report.p, report.horizon, *segments, report.creditable, report.expected_total
+    ]
 
 
 def _raises_or_finite(call):
@@ -72,7 +85,7 @@ def _raises_or_finite(call):
 # (type, valid keyword arguments, what a caller derives from it)
 VALUE_TYPES = {
     "CarbonFactors": (
-        CarbonFactors, dataclasses.asdict(default_carbon_factors()),
+        CarbonFactors, {name: getattr(FACTORS, name) for name in FACTORS._fields},
         lambda f: (f, carbon_constant(f)),
     ),
     "CarbonConstant": (CarbonConstant, {"c": CONSTANT.c}, lambda c: c),

@@ -180,6 +180,18 @@ class TestPortfolio:
         )
         assert json.loads(out)["gross_credit"] == pytest.approx(26.099973, rel=0.01)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_credit_is_data_error(self, capsys, tmp_path, fmt):
+        inventory = self.write_inventory(
+            tmp_path, "label,wood,size,count\nbig,evergreen,tall,100000000\n"
+        )
+        code, out, err = run(
+            capsys, "portfolio", inventory, "--bef", "1e300", "--bd", "4e4",
+            "--format", fmt,
+        )
+        assert code == 1 and out == ""
+        assert "float range" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "portfolio", "/nonexistent/inventory.csv")
         assert code == 1

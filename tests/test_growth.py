@@ -268,6 +268,27 @@ class TestSpecies:
             "size=<SizeClass.SHRUB: 'shrub'>, continuous_cap=False)"
         )
 
+    def test_species_hands_out_one_instance_per_case(self):
+        spec = species("conifer", "medium", continuous_cap=True)
+        assert spec is species(WoodType.CONIFER, SizeClass.MEDIUM, continuous_cap=True)
+        assert spec is not species("conifer", "medium")
+        built = SpeciesSpec(WoodType.CONIFER, SizeClass.MEDIUM, True)
+        assert built == spec and hash(built) == hash(spec) and built is not spec
+        assert len({id(species(w, s, continuous_cap=c))
+                    for w in WoodType for s in SizeClass for c in (False, True)}) == 18
+
+    @pytest.mark.parametrize(
+        "wood,size,message",
+        [
+            ("oak", "tall", "'oak' is not a valid WoodType"),
+            ("conifer", "huge", "'huge' is not a valid SizeClass"),
+            ("Conifer", "huge", "'Conifer' is not a valid WoodType"),
+        ],
+    )
+    def test_species_rejects_unknown_names(self, wood, size, message):
+        with pytest.raises(ValueError, match=message):
+            species(wood, size)
+
     def test_domain_start(self):
         assert species("conifer", "shrub").domain_start == 1.0
         assert species("deciduous", "shrub").domain_start == 0.0

@@ -38,6 +38,19 @@ def test_import_leaves_numpy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # records build their methods themselves; dataclasses would pull in
+    # inspect, ast, dis and tokenize at every cold start
+    code = (
+        "import sys, canopy, canopy.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
+
+
 def _specs():
     return all_species() + tuple(
         species(s.wood, s.size, continuous_cap=True)

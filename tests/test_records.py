@@ -1,0 +1,229 @@
+"""Every value type is an immutable record: the constructor signature,
+``repr``, ``==`` and ``hash`` that callers see, and refusal of assignment.
+
+Each case pins one class: its parameters with their defaults, a sample
+value built from positional arguments, the sample's ``repr``, and a
+field whose change must break equality.
+"""
+
+import inspect
+
+import pytest
+
+from canopy import (
+    AbsorptionReport,
+    BreakdownRow,
+    CarbonConstant,
+    CarbonFactors,
+    CensusInput,
+    CohortResult,
+    CreditMode,
+    DiameterModel,
+    DiameterSegment,
+    FitResult,
+    Measurement,
+    PlantingCohort,
+    PortfolioReport,
+    ProjectParams,
+    RemovalModel,
+    SegmentAbsorption,
+    SizeClass,
+    SpeciesSpec,
+    TimeSegment,
+    WoodType,
+)
+from canopy.cli import CliConfig, _Settings
+from canopy.errors import Record
+
+EMPTY = inspect.Parameter.empty
+SPEC = SpeciesSpec(WoodType.EVERGREEN, SizeClass.TALL)
+SEG = DiameterSegment(0.0, None, 0.5, 1.0)
+MODEL = DiameterModel(None, (SEG,))
+PIECE = SegmentAbsorption(0.0, 1.0, "a", 2.0)
+P = RemovalModel(0.5)
+FACTORS = CarbonFactors(1.5, 0.25, 0.5, 0.5)
+SEG_REPR = "DiameterSegment(h_lo=0.0, h_hi=None, slope=0.5, intercept=1.0)"
+SPEC_REPR = (
+    "SpeciesSpec(wood=<WoodType.EVERGREEN: 'evergreen'>, "
+    "size=<SizeClass.TALL: 'tall'>, continuous_cap=False)"
+)
+
+# class: (parameters with defaults, sample arguments, sample repr, a field
+# and a value that must make an unequal record)
+CASES = {
+    SpeciesSpec: (
+        [("wood", EMPTY), ("size", EMPTY), ("continuous_cap", False)],
+        (WoodType.EVERGREEN, SizeClass.TALL),
+        SPEC_REPR,
+        ("continuous_cap", True),
+    ),
+    DiameterSegment: (
+        [("h_lo", EMPTY), ("h_hi", EMPTY), ("slope", EMPTY), ("intercept", EMPTY)],
+        (0.0, None, 0.5, 1.0),
+        SEG_REPR,
+        ("slope", 0.25),
+    ),
+    DiameterModel: (
+        [("wood", EMPTY), ("segments", EMPTY)],
+        (None, (SEG,)),
+        f"DiameterModel(wood=None, segments=({SEG_REPR},))",
+        ("wood", WoodType.CONIFER),
+    ),
+    TimeSegment: (
+        [("t_lo", EMPTY), ("t_hi", EMPTY), ("label", EMPTY),
+         ("diameter_segment", EMPTY), ("on_cap", EMPTY)],
+        (0.0, 1.0, "a", SEG, False),
+        f"TimeSegment(t_lo=0.0, t_hi=1.0, label='a', diameter_segment={SEG_REPR}, "
+        "on_cap=False)",
+        ("t_hi", 2.0),
+    ),
+    CarbonFactors: (
+        [("bef", EMPTY), ("rtsr", EMPTY), ("bd", EMPTY), ("cf", EMPTY)],
+        (1.5, 0.25, 0.5, 0.5),
+        "CarbonFactors(bef=1.5, rtsr=0.25, bd=0.5, cf=0.5)",
+        ("cf", 0.25),
+    ),
+    CarbonConstant: ([("c", EMPTY)], (1e-6,), "CarbonConstant(c=1e-06)", ("c", 2e-6)),
+    SegmentAbsorption: (
+        [("t_lo", EMPTY), ("t_hi", EMPTY), ("label", EMPTY), ("value", EMPTY)],
+        (0.0, 1.0, "a", 2.0),
+        "SegmentAbsorption(t_lo=0.0, t_hi=1.0, label='a', value=2.0)",
+        ("label", "b"),
+    ),
+    AbsorptionReport: (
+        [("spec", EMPTY), ("p", EMPTY), ("horizon", EMPTY), ("segments", EMPTY),
+         ("creditable", EMPTY), ("expected_total", EMPTY)],
+        (SPEC, 0.5, 10.0, (PIECE,), 1.0, 3.0),
+        f"AbsorptionReport(spec={SPEC_REPR}, p=0.5, horizon=10.0, "
+        "segments=(SegmentAbsorption(t_lo=0.0, t_hi=1.0, label='a', value=2.0),), "
+        "creditable=1.0, expected_total=3.0)",
+        ("horizon", 20.0),
+    ),
+    BreakdownRow: (
+        [("period", EMPTY), ("in_process", EMPTY), ("creditable", EMPTY)],
+        ("-", 0.0, None),
+        "BreakdownRow(period='-', in_process=0.0, creditable=None)",
+        ("creditable", 1.0),
+    ),
+    RemovalModel: ([("p", EMPTY)], (0.5,), "RemovalModel(p=0.5)", ("p", 0.25)),
+    CensusInput: (
+        [("standing_stock", EMPTY), ("assumed_lifespan", EMPTY), ("horizon", EMPTY),
+         ("storm_felled", 0.0)],
+        (100.0, 30.0, 10.0),
+        "CensusInput(standing_stock=100.0, assumed_lifespan=30.0, horizon=10.0, "
+        "storm_felled=0.0)",
+        ("storm_felled", 1.0),
+    ),
+    Measurement: (
+        [("wood", EMPTY), ("height", EMPTY), ("girth", None), ("diameter", None)],
+        (WoodType.CONIFER, 300.0),
+        "Measurement(wood=<WoodType.CONIFER: 'conifer'>, height=300.0, girth=None, "
+        "diameter=None)",
+        ("diameter", 5.0),
+    ),
+    FitResult: (
+        [("model", EMPTY), ("per_segment_r2", EMPTY), ("residual_rms", EMPTY)],
+        (MODEL, (0.5,), 0.1),
+        f"FitResult(model=DiameterModel(wood=None, segments=({SEG_REPR},)), "
+        "per_segment_r2=(0.5,), residual_rms=0.1)",
+        ("residual_rms", 0.2),
+    ),
+    PlantingCohort: (
+        [("spec", EMPTY), ("count", EMPTY), ("label", "")],
+        (SPEC, 3),
+        f"PlantingCohort(spec={SPEC_REPR}, count=3, label='')",
+        ("count", 4),
+    ),
+    ProjectParams: (
+        [("horizon", 100.0), ("project_emissions", 0.0), ("steward_years", 3.0),
+         ("credit_mode", CreditMode.SURVIVOR_ONLY)],
+        (),
+        "ProjectParams(horizon=100.0, project_emissions=0.0, steward_years=3.0, "
+        "credit_mode=<CreditMode.SURVIVOR_ONLY: 'survivor_only'>)",
+        ("credit_mode", CreditMode.INCLUDE_IN_PROCESS),
+    ),
+    CohortResult: (
+        [("label", EMPTY), ("count", EMPTY), ("per_tree_total", EMPTY),
+         ("per_tree_creditable", EMPTY), ("cohort_credit", EMPTY),
+         ("steward_share", EMPTY)],
+        ("a", 1, 2.0, 1.0, 1.0, 0.5),
+        "CohortResult(label='a', count=1, per_tree_total=2.0, per_tree_creditable=1.0, "
+        "cohort_credit=1.0, steward_share=0.5)",
+        ("steward_share", 0.25),
+    ),
+    PortfolioReport: (
+        [("per_cohort", EMPTY), ("gross_credit", EMPTY), ("project_emissions", EMPTY),
+         ("net_credit", EMPTY), ("shortfall", EMPTY)],
+        ((), 0.0, 1.0, -1.0, True),
+        "PortfolioReport(per_cohort=(), gross_credit=0.0, project_emissions=1.0, "
+        "net_credit=-1.0, shortfall=True)",
+        ("shortfall", False),
+    ),
+    CliConfig: (
+        [(name, None) for name in
+         ("p_tall", "p_medium_shrub", "bef", "rtsr", "bd", "cf", "horizon", "format",
+          "output")],
+        (0.5,),
+        "CliConfig(p_tall=0.5, p_medium_shrub=None, bef=None, rtsr=None, bd=None, "
+        "cf=None, horizon=None, format=None, output=None)",
+        ("format", "json"),
+    ),
+    _Settings: (
+        [("p_tall", EMPTY), ("p_medium_shrub", EMPTY), ("factors", EMPTY),
+         ("horizon", EMPTY), ("fmt", EMPTY), ("output", EMPTY), ("continuous_cap", EMPTY)],
+        (P, P, FACTORS, 100.0, "json", None, False),
+        "_Settings(p_tall=RemovalModel(p=0.5), p_medium_shrub=RemovalModel(p=0.5), "
+        "factors=CarbonFactors(bef=1.5, rtsr=0.25, bd=0.5, cf=0.5), horizon=100.0, "
+        "fmt='json', output=None, continuous_cap=False)",
+        ("fmt", "csv"),
+    ),
+}
+
+
+def test_every_record_class_has_a_case():
+    assert set(Record.__subclasses__()) == set(CASES)
+
+
+@pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
+def test_record_surface(cls):
+    params, args, text, (changed, other) = CASES[cls]
+    signature = inspect.signature(cls)
+    assert [(p.name, p.default) for p in signature.parameters.values()] == params
+    value = cls(*args)
+    assert repr(value) == text
+    # keywords build the same record, and equal records hash alike
+    twin = cls(**{name: getattr(value, name) for name, _ in params})
+    assert twin == value and hash(twin) == hash(value) and twin is not value
+    assert value != cls(**{name: getattr(value, name) for name, _ in params} | {changed: other})
+    assert value != tuple(getattr(value, name) for name, _ in params)
+    with pytest.raises(AttributeError):
+        setattr(value, changed, other)
+    with pytest.raises(AttributeError):
+        delattr(value, changed)
+    with pytest.raises(AttributeError):
+        value.unknown = 1
+    assert getattr(value, changed) != other
+
+
+def test_time_segment_compares_bounds_only():
+    piece = TimeSegment(0.0, 1.0, "a", SEG, False)
+    relabelled = TimeSegment(0.0, 1.0, "b", DiameterSegment(0.0, None, 1.0, 0.0), True)
+    assert piece == relabelled and hash(piece) == hash((0.0, 1.0)) == hash(relabelled)
+    assert repr(piece) != repr(relabelled)
+
+
+def test_hash_is_the_compared_fields_tuple():
+    value = CohortResult("a", 1, 2.0, 1.0, 1.0, 0.5)
+    assert hash(value) == hash(("a", 1, 2.0, 1.0, 1.0, 0.5))
+    assert hash(SPEC) == hash((WoodType.EVERGREEN, SizeClass.TALL, False))
+
+
+def test_post_init_validates_positional_and_keyword_construction():
+    with pytest.raises(ValueError):
+        RemovalModel(1.5)
+    with pytest.raises(ValueError):
+        RemovalModel(p=0.0)
+    with pytest.raises(TypeError):
+        RemovalModel()
+    with pytest.raises(TypeError):
+        RemovalModel(0.5, p=0.5)

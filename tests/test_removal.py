@@ -93,6 +93,14 @@ class TestLifespan:
         assert expected_lifespan(RemovalModel(0.027309)) == pytest.approx(36.12, abs=0.01)
         assert expected_lifespan(RemovalModel(0.0256977)) == pytest.approx(38.41, abs=0.01)
 
+    @pytest.mark.parametrize("p", [5e-324, 1e-310, 5e-309])
+    def test_lifespan_past_float_range_raises(self, p):
+        with pytest.raises(DomainError, match="overflows"):
+            expected_lifespan(RemovalModel(p))
+
+    def test_tiny_p_lifespan_stays_finite(self):
+        assert expected_lifespan(RemovalModel(1e-300)) == pytest.approx(1e300, rel=1e-12)
+
     def test_unit_lifespan(self):
         assert expected_lifespan(RemovalModel(1.0 - math.exp(-1.0))) == pytest.approx(
             1.0, rel=1e-12
