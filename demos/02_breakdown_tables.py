@@ -9,7 +9,6 @@ appears on the final row.
 
 from canopy import (
     all_species,
-    breakdown_table,
     default_carbon_constant,
     default_diameter_models,
     default_removal_model,
@@ -24,7 +23,9 @@ for spec in all_species():
     report = expected_absorption(spec, models[spec.wood], removal, constant)
     print(f"{spec.wood.value} ({spec.size.value}), p = {removal.p}")
     print(f"  {'years since planting':<28}{'in-process (t)':>16}{'survivor (t)':>14}")
-    for row in breakdown_table(report):
-        survivor = f"{row.creditable:.9f}" if row.creditable is not None else ""
-        print(f"  {row.period:<28}{row.in_process:>16.9f}{survivor:>14}")
+    last = len(report.segments) - 1
+    for i, seg in enumerate(report.segments):
+        period = f"{seg.t_lo:.6g} - {seg.t_hi:.6g}"
+        survivor = f"{report.creditable:.9f}" if i == last else ""
+        print(f"  {period:<28}{seg.value:>16.9f}{survivor:>14}")
     print(f"  {'total':<28}{report.expected_total:>16.9f}\n")

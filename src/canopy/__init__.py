@@ -11,107 +11,19 @@ project emissions, and attribute steward shares.
 
 __version__ = "0.1.0"
 
-from .carbon import (
-    AbsorptionReport,
-    BreakdownRow,
-    CarbonConstant,
-    CarbonFactors,
-    SegmentAbsorption,
-    breakdown_table,
-    carbon_constant,
-    creditable_absorption,
-    default_carbon_constant,
-    default_carbon_factors,
-    expected_absorption,
-    segment_integrand,
-    stored_co2,
-)
-from .errors import (
-    CanopyError,
-    DomainError,
-    IntegrationError,
-    ParseError,
-    RangeError,
-    UnderdeterminedError,
-    UnknownSpeciesError,
-    ValidationError,
-)
-from .fielddata import (
-    FitResult,
-    Measurement,
-    default_breakpoints,
-    fit_piecewise_linear,
-    girth_to_diameter,
-    load_measurements,
-    reference_tables,
-)
-from .growth import (
-    DiameterModel,
-    DiameterSegment,
-    SizeClass,
-    SpeciesSpec,
-    TimeSegment,
-    WoodType,
-    all_species,
-    default_diameter_models,
-    diameter_from_height,
-    height,
-    integration_segments,
-    species,
-    time_at_height,
-    uncapped_height,
-)
-from .portfolio import (
-    CohortResult,
-    CreditMode,
-    PlantingCohort,
-    PortfolioReport,
-    ProjectParams,
-    allocate_steward_share,
-    evaluate_portfolio,
-    load_inventory,
-)
-from .quadrature import integrate
-from .removal import (
-    DEFAULT_P_MEDIUM_SHRUB,
-    DEFAULT_P_TALL,
-    CensusInput,
-    RemovalModel,
-    default_removal_model,
-    derive_removal_probability,
-    expected_lifespan,
-    survival_fraction,
-)
+from . import carbon, errors, fielddata, growth, portfolio, quadrature, removal
+from .carbon import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .fielddata import *  # noqa: F403
+from .growth import *  # noqa: F403
+from .portfolio import *  # noqa: F403
+from .quadrature import *  # noqa: F403
+from .removal import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    # errors
-    "CanopyError", "DomainError", "RangeError", "IntegrationError",
-    "ParseError", "ValidationError", "UnderdeterminedError",
-    "UnknownSpeciesError",
-    # growth
-    "WoodType", "SizeClass", "SpeciesSpec", "DiameterSegment",
-    "DiameterModel", "TimeSegment", "species", "all_species", "height",
-    "time_at_height", "diameter_from_height", "default_diameter_models",
-    "integration_segments", "uncapped_height",
-    # removal
-    "RemovalModel", "CensusInput", "derive_removal_probability",
-    "survival_fraction", "expected_lifespan", "default_removal_model",
-    "DEFAULT_P_TALL", "DEFAULT_P_MEDIUM_SHRUB",
-    # quadrature
-    "integrate",
-    # carbon
-    "CarbonFactors", "CarbonConstant", "SegmentAbsorption",
-    "AbsorptionReport", "BreakdownRow", "carbon_constant",
-    "default_carbon_factors", "default_carbon_constant", "stored_co2",
-    "segment_integrand", "creditable_absorption",
-    "expected_absorption",
-    "breakdown_table",
-    # fielddata
-    "Measurement", "FitResult", "girth_to_diameter", "load_measurements",
-    "fit_piecewise_linear", "reference_tables", "default_breakpoints",
-    # portfolio
-    "CreditMode", "PlantingCohort", "ProjectParams", "CohortResult",
-    "PortfolioReport", "allocate_steward_share", "evaluate_portfolio",
-    "load_inventory",
+# the package exports what each module exports, and each module lists its
+# own public names once, in its __all__
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, growth, removal, quadrature, carbon, fielddata, portfolio)
+    for name in module.__all__
 ]

@@ -33,7 +33,6 @@ __all__ = [
     "CarbonConstant",
     "SegmentAbsorption",
     "AbsorptionReport",
-    "BreakdownRow",
     "carbon_constant",
     "default_carbon_factors",
     "default_carbon_constant",
@@ -41,7 +40,6 @@ __all__ = [
     "segment_integrand",
     "creditable_absorption",
     "expected_absorption",
-    "breakdown_table",
     "CO2_PER_CARBON",
 ]
 
@@ -258,29 +256,3 @@ def expected_absorption(
         creditable=creditable,
         expected_total=total,
     )
-
-
-class BreakdownRow(Record):
-    """One row of the per-period breakdown table."""
-
-    period: str
-    in_process: float
-    creditable: float | None  # set on the final row only
-
-
-def breakdown_table(report: AbsorptionReport) -> list[BreakdownRow]:
-    """Rows of (period, in-process absorption, creditable), with the
-    survivor term shown on the final row only."""
-    if not report.segments:
-        return [BreakdownRow(period="-", in_process=0.0, creditable=report.creditable)]
-    rows = []
-    last = len(report.segments) - 1
-    for i, seg in enumerate(report.segments):
-        rows.append(
-            BreakdownRow(
-                period=f"{seg.t_lo:.6g} - {seg.t_hi:.6g}",
-                in_process=seg.value,
-                creditable=report.creditable if i == last else None,
-            )
-        )
-    return rows

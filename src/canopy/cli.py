@@ -24,7 +24,7 @@ from .carbon import (
     default_carbon_factors,
     expected_absorption,
 )
-from .errors import CanopyError, Record, ValidationError
+from .errors import CanopyError, ValidationError
 from .fielddata import (
     default_breakpoints,
     fit_piecewise_linear,
@@ -43,20 +43,22 @@ from .portfolio import (
     CohortResult,
     CreditMode,
     PlantingCohort,
+    PortfolioReport,
     ProjectParams,
     evaluate_portfolio,
     load_inventory,
 )
 from .removal import (
+    DEFAULT_P_MEDIUM_SHRUB,
+    DEFAULT_P_TALL,
     CensusInput,
     RemovalModel,
-    default_removal_model,
     derive_removal_probability,
     expected_lifespan,
     survival_fraction,
 )
 
-__all__ = ["main", "CliConfig"]
+__all__ = ["main"]
 
 CONFIG_ENV_VAR = "CANOPY_CONFIG"
 _FORMATS = ("table", "json", "csv")
@@ -64,111 +66,89 @@ _FORMATS = ("table", "json", "csv")
 _WOODS = tuple(w.value for w in WoodType)
 _SIZES = tuple(s.value for s in SizeClass)
 
+_FACTORS = default_carbon_factors()
+
+# Every setting that a flag or a config key can set: (name, flag, kind,
+# default, help).  The name is the config key.  A float setting is a model
+# flag of estimate, breakdown and portfolio; a str setting (a path) or one
+# whose kind is a tuple of its choices is an output flag of every command.
+# Each setting resolves flag > config > default.
+_SETTINGS = (
+    ("format", "--format", _FORMATS, "table", "output format (default: table)"),
+    ("output", "--output", str, None, "write output to PATH instead of stdout"),
+    ("horizon", "--horizon", float, 100.0, "project horizon in years (default 100)"),
+    ("p_tall", "--p-tall", float, DEFAULT_P_TALL,
+     "annual removal probability for tall trees"),
+    ("p_medium_shrub", "--p-medium-shrub", float, DEFAULT_P_MEDIUM_SHRUB,
+     "annual removal probability for medium/shrubs"),
+    ("bef", "--bef", float, _FACTORS.bef, "biomass expansion factor"),
+    ("rtsr", "--rtsr", float, _FACTORS.rtsr, "root-to-shoot ratio"),
+    ("bd", "--bd", float, _FACTORS.bd, "bulk density, t-d.m./m3"),
+    ("cf", "--cf", float, _FACTORS.cf, "carbon fraction, t-C/t-d.m."),
+)
+_KINDS = {name: kind for name, _, kind, _, _ in _SETTINGS}
+
 
 class _UsageError(Exception):
     """Bad arguments or config; maps to exit code 2."""
 
 
-class CliConfig(Record):
-    """Optional overrides loaded from a JSON config file."""
-
-    p_tall: float | None = None
-    p_medium_shrub: float | None = None
-    bef: float | None = None
-    rtsr: float | None = None
-    bd: float | None = None
-    cf: float | None = None
-    horizon: float | None = None
-    format: str | None = None
-    output: str | None = None
-
-
-def _load_config(path: str | None) -> CliConfig:
+def _load_config(path: str | None) -> dict:
+    """The config file's settings by name, each checked against its kind."""
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR) or None
     if path is None:
-        return CliConfig()
+        return {}
     try:
         with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
+            # integers parse as floats too: one past the float range reads as
+            # inf, which its setting's finite check rejects, not OverflowError
+            raw = json.load(handle, parse_int=float)
     except OSError as exc:
         raise _UsageError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise _UsageError(f"config {path} must hold a JSON object")
-    known = set(CliConfig._fields)
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - set(_KINDS))
     if unknown:
         raise _UsageError(f"unknown config keys: {', '.join(unknown)}")
     for key, value in raw.items():
-        if key in ("format", "output"):
-            if not isinstance(value, str):
-                raise _UsageError(f"config key {key} must be a string")
-        elif not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise _UsageError(f"config key {key} must be a number")
-    if "format" in raw and raw["format"] not in _FORMATS:
-        raise _UsageError(f"config format must be one of {_FORMATS}")
-    return CliConfig(**raw)
+        kind = _KINDS[key]
+        if kind is float:
+            if not isinstance(value, float):
+                raise _UsageError(f"config key {key} must be a number")
+        elif not isinstance(value, str):
+            raise _UsageError(f"config key {key} must be a string")
+        elif isinstance(kind, tuple) and value not in kind:
+            raise _UsageError(f"config {key} must be one of {kind}")
+    return raw
 
 
-class _Settings(Record):
-    """Fully-resolved run settings (flags > config > defaults)."""
-
-    p_tall: RemovalModel
-    p_medium_shrub: RemovalModel
-    factors: CarbonFactors
-    horizon: float
-    fmt: str
-    output: str | None
-    continuous_cap: bool
-
-    def removal_for(self, size: SizeClass) -> RemovalModel:
-        return self.p_tall if size is SizeClass.TALL else self.p_medium_shrub
-
-
-def _pick(flag, config_value, default):
-    if flag is not None:
-        return flag
-    if config_value is not None:
-        return config_value
-    return default
-
-
-def _resolve(args: argparse.Namespace) -> _Settings:
-    config = _load_config(getattr(args, "config", None))
-    defaults = default_carbon_factors()
+def _resolve(args: argparse.Namespace) -> dict:
+    """The run's settings by name, each from its flag, else the config,
+    else its default, plus the ``removal`` model per size class and the
+    carbon ``constant`` that they make.  A value that makes no valid model
+    is a usage error."""
+    config = _load_config(args.config)
+    settings = {}
+    for name, _, _, default, _ in _SETTINGS:
+        flag = getattr(args, name, None)
+        settings[name] = config.get(name, default) if flag is None else flag
     try:
-        p_tall = RemovalModel(
-            _pick(getattr(args, "p_tall", None), config.p_tall,
-                  default_removal_model(SizeClass.TALL).p)
-        )
-        p_ms = RemovalModel(
-            _pick(getattr(args, "p_medium_shrub", None), config.p_medium_shrub,
-                  default_removal_model(SizeClass.MEDIUM).p)
-        )
-        factors = CarbonFactors(
-            bef=_pick(getattr(args, "bef", None), config.bef, defaults.bef),
-            rtsr=_pick(getattr(args, "rtsr", None), config.rtsr, defaults.rtsr),
-            bd=_pick(getattr(args, "bd", None), config.bd, defaults.bd),
-            cf=_pick(getattr(args, "cf", None), config.cf, defaults.cf),
-        )
+        tall = RemovalModel(settings["p_tall"])
+        medium_shrub = RemovalModel(settings["p_medium_shrub"])
+        factors = CarbonFactors(**{name: settings[name] for name in CarbonFactors._fields})
+        settings["constant"] = carbon_constant(factors)
     except CanopyError as exc:
         raise _UsageError(str(exc)) from exc
-    horizon = _pick(getattr(args, "horizon", None), config.horizon, 100.0)
+    settings["removal"] = {
+        SizeClass.TALL: tall, SizeClass.MEDIUM: medium_shrub, SizeClass.SHRUB: medium_shrub,
+    }
+    horizon = settings["horizon"]
     if not (math.isfinite(horizon) and horizon > 0):
         raise _UsageError(f"horizon must be positive and finite, got {horizon}")
-    fmt = _pick(getattr(args, "format", None), config.format, "table")
-    output = _pick(getattr(args, "output", None), config.output, None)
-    return _Settings(
-        p_tall=p_tall,
-        p_medium_shrub=p_ms,
-        factors=factors,
-        horizon=float(horizon),
-        fmt=fmt,
-        output=output,
-        continuous_cap=bool(getattr(args, "continuous_cap", False)),
-    )
+    return settings
 
 
 def _num(value: float) -> str:
@@ -180,7 +160,7 @@ def _json_dumps(payload) -> str:
 
 
 def _emit(
-    settings: _Settings, payload: dict, header: list[str] | None = None,
+    settings: dict, payload: dict, header: list[str] | None = None,
     rows: Sequence[Sequence] = (), footer: str = "",
 ) -> None:
     """Write a command's result to stdout or ``--output``.
@@ -190,7 +170,7 @@ def _emit(
     payload is one CSV row or a key/value table.  Floats print with six
     decimals outside JSON.
     """
-    if settings.fmt == "json":
+    if settings["format"] == "json":
         text = _json_dumps(payload)
     else:
         pairs = header is None
@@ -199,7 +179,7 @@ def _emit(
         cells = [header] + [
             [_num(v) if isinstance(v, float) else str(v) for v in row] for row in rows
         ]
-        if settings.fmt == "csv":
+        if settings["format"] == "csv":
             buffer = io.StringIO()
             csv.writer(buffer, lineterminator="\n").writerows(cells)
             text = buffer.getvalue()
@@ -212,49 +192,51 @@ def _emit(
                      for row in cells]
             lines.insert(1, "  ".join("-" * w for w in widths))
             text = "\n".join(lines) + "\n" + footer
-    if settings.output is None:
+    if settings["output"] is None:
         sys.stdout.write(text)
     else:
-        with open(settings.output, "w", encoding="utf-8") as handle:
+        with open(settings["output"], "w", encoding="utf-8") as handle:
             handle.write(text)
 
 
-def _cmd_estimate(args: argparse.Namespace) -> int:
-    settings = _resolve(args)
-    spec = species(args.wood, args.size, continuous_cap=settings.continuous_cap)
+def _absorption(args: argparse.Namespace, settings: dict):
+    """Evaluate one planted tree, the step that estimate and breakdown
+    share.  Returns the diameter model, the report and the payload fields
+    that both commands print first."""
+    spec = species(args.wood, args.size, continuous_cap=args.continuous_cap)
     model = default_diameter_models()[spec.wood]
-    removal = settings.removal_for(spec.size)
-    constant = carbon_constant(settings.factors)
-    report = expected_absorption(spec, model, removal, constant, settings.horizon)
-    h = height(spec, settings.horizon)
-    payload = {
+    report = expected_absorption(
+        spec, model, settings["removal"][spec.size], settings["constant"],
+        settings["horizon"],
+    )
+    head = {
         "wood": spec.wood.value,
         "size": spec.size.value,
-        "horizon_years": settings.horizon,
-        "p": removal.p,
-        "carbon_constant": constant.c,
-        "survival_rate": survival_fraction(removal, settings.horizon),
+        "horizon_years": report.horizon,
+        "p": report.p,
+    }
+    return model, report, head
+
+
+def _cmd_estimate(args: argparse.Namespace, settings: dict) -> None:
+    model, report, head = _absorption(args, settings)
+    h = height(report.spec, report.horizon)
+    payload = {
+        **head,
+        "carbon_constant": settings["constant"].c,
+        "survival_rate": survival_fraction(settings["removal"][report.spec.size], report.horizon),
         "height_cm": h,
         "diameter_cm": diameter_from_height(model, h),
         "creditable_t": report.creditable,
         "expected_total_t": report.expected_total,
     }
     _emit(settings, payload)
-    return 0
 
 
-def _cmd_breakdown(args: argparse.Namespace) -> int:
-    settings = _resolve(args)
-    spec = species(args.wood, args.size, continuous_cap=settings.continuous_cap)
-    model = default_diameter_models()[spec.wood]
-    removal = settings.removal_for(spec.size)
-    constant = carbon_constant(settings.factors)
-    report = expected_absorption(spec, model, removal, constant, settings.horizon)
+def _cmd_breakdown(args: argparse.Namespace, settings: dict) -> None:
+    _, report, head = _absorption(args, settings)
     payload = {
-        "wood": spec.wood.value,
-        "size": spec.size.value,
-        "horizon_years": settings.horizon,
-        "p": removal.p,
+        **head,
         "segments": [
             {
                 "t_start": seg.t_lo,
@@ -276,14 +258,12 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
         settings, payload, ["t_start", "t_end", "in_process_t", "creditable_t"], rows,
         f"expected_total_t  {_num(report.expected_total)}\n",
     )
-    return 0
 
 
-def _cmd_portfolio(args: argparse.Namespace) -> int:
-    settings = _resolve(args)
+def _cmd_portfolio(args: argparse.Namespace, settings: dict) -> None:
     try:
         params = ProjectParams(
-            horizon=settings.horizon,
+            horizon=settings["horizon"],
             project_emissions=args.emissions,
             steward_years=args.steward_years,
             credit_mode=CreditMode(args.credit_mode),
@@ -291,7 +271,7 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
     except ValidationError as exc:
         raise _UsageError(str(exc)) from exc
     cohorts = load_inventory(args.inventory)
-    if settings.continuous_cap:
+    if args.continuous_cap:
         cohorts = [
             PlantingCohort(species(c.spec.wood, c.spec.size, continuous_cap=True), c.count, c.label)
             for c in cohorts
@@ -299,26 +279,19 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
     report = evaluate_portfolio(
         cohorts,
         params,
-        removal_models={
-            SizeClass.TALL: settings.p_tall,
-            SizeClass.MEDIUM: settings.p_medium_shrub,
-            SizeClass.SHRUB: settings.p_medium_shrub,
-        },
-        constant=carbon_constant(settings.factors),
+        removal_models=settings["removal"],
+        constant=settings["constant"],
     )
     # keys and columns are the PortfolioReport / CohortResult field names
     header = list(CohortResult._fields)
     per_cohort = [{name: getattr(r, name) for name in header} for r in report.per_cohort]
-    payload = {
-        "horizon_years": params.horizon,
-        "credit_mode": params.credit_mode.value,
-        "steward_years": params.steward_years,
-        "per_cohort": per_cohort,
-        "gross_credit": report.gross_credit,
-        "project_emissions": report.project_emissions,
-        "net_credit": report.net_credit,
-        "shortfall": report.shortfall,
-    }
+    payload = {name: getattr(report, name) for name in PortfolioReport._fields}
+    payload.update(
+        horizon_years=params.horizon,
+        credit_mode=params.credit_mode.value,
+        steward_years=params.steward_years,
+        per_cohort=per_cohort,
+    )
     rows = [list(cohort.values()) for cohort in per_cohort]
     shares = math.fsum(r.steward_share for r in report.per_cohort)
     rows.append(["TOTAL", "", "", "", report.gross_credit, shares])
@@ -327,11 +300,9 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
     if report.shortfall:
         print("canopy: warning: project emissions exceed gross credit",
               file=sys.stderr)
-    return 0
 
 
-def _cmd_derive_p(args: argparse.Namespace) -> int:
-    settings = _resolve(args)
+def _cmd_derive_p(args: argparse.Namespace, settings: dict) -> None:
     try:
         census = CensusInput(
             standing_stock=args.stock,
@@ -352,11 +323,9 @@ def _cmd_derive_p(args: argparse.Namespace) -> int:
         "expected_lifespan_years": expected_lifespan(model),
     }
     _emit(settings, payload)
-    return 0
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
-    settings = _resolve(args)
+def _cmd_fit(args: argparse.Namespace, settings: dict) -> None:
     if (args.measurements is None) == (args.reference is None):
         raise _UsageError("give either a measurements file or --reference")
     if args.reference is not None:
@@ -409,7 +378,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         settings, payload, ["h_lo", "h_hi", "slope", "intercept", "r_squared"], rows_out,
         f"residual_rms_cm   {_num(result.residual_rms)}\n",
     )
-    return 0
 
 
 def _breakpoint_list(text: str) -> list[float]:
@@ -424,28 +392,16 @@ def _breakpoint_list(text: str) -> list[float]:
 
 def build_parser() -> argparse.ArgumentParser:
     output_parent = argparse.ArgumentParser(add_help=False)
-    output_parent.add_argument("--format", choices=_FORMATS, default=None,
-                               help="output format (default: table)")
-    output_parent.add_argument("--output", metavar="PATH", default=None,
-                               help="write output to PATH instead of stdout")
+    model_parent = argparse.ArgumentParser(add_help=False)
+    for _, flag, kind, _, text in _SETTINGS:
+        if kind is float:
+            model_parent.add_argument(flag, type=float, help=text)
+        elif kind is str:
+            output_parent.add_argument(flag, metavar="PATH", help=text)
+        else:
+            output_parent.add_argument(flag, choices=kind, help=text)
     output_parent.add_argument("--config", metavar="PATH", default=None,
                                help=f"JSON config file (or ${CONFIG_ENV_VAR})")
-
-    model_parent = argparse.ArgumentParser(add_help=False)
-    model_parent.add_argument("--horizon", type=float, default=None,
-                              help="project horizon in years (default 100)")
-    model_parent.add_argument("--p-tall", type=float, default=None,
-                              help="annual removal probability for tall trees")
-    model_parent.add_argument("--p-medium-shrub", type=float, default=None,
-                              help="annual removal probability for medium/shrubs")
-    model_parent.add_argument("--bef", type=float, default=None,
-                              help="biomass expansion factor")
-    model_parent.add_argument("--rtsr", type=float, default=None,
-                              help="root-to-shoot ratio")
-    model_parent.add_argument("--bd", type=float, default=None,
-                              help="bulk density, t-d.m./m3")
-    model_parent.add_argument("--cf", type=float, default=None,
-                              help="carbon fraction, t-C/t-d.m.")
     model_parent.add_argument("--continuous-cap", action="store_true",
                               help="cap heights with min(curve, cap) instead of "
                                    "snapping to the cap at the cap age")
@@ -458,21 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"canopy {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    estimate = commands.add_parser(
-        "estimate", parents=[output_parent, model_parent],
-        help="per-tree survival, size and absorption at the horizon",
-    )
-    estimate.add_argument("--wood", choices=_WOODS, required=True)
-    estimate.add_argument("--size", choices=_SIZES, required=True)
-    estimate.set_defaults(func=_cmd_estimate)
-
-    breakdown = commands.add_parser(
-        "breakdown", parents=[output_parent, model_parent],
-        help="per-period in-process absorption plus the survivor term",
-    )
-    breakdown.add_argument("--wood", choices=_WOODS, required=True)
-    breakdown.add_argument("--size", choices=_SIZES, required=True)
-    breakdown.set_defaults(func=_cmd_breakdown)
+    for name, func, text in (
+        ("estimate", _cmd_estimate, "per-tree survival, size and absorption at the horizon"),
+        ("breakdown", _cmd_breakdown, "per-period in-process absorption plus the survivor term"),
+    ):
+        tree = commands.add_parser(name, parents=[output_parent, model_parent], help=text)
+        tree.add_argument("--wood", choices=_WOODS, required=True)
+        tree.add_argument("--size", choices=_SIZES, required=True)
+        tree.set_defaults(func=func)
 
     portfolio_cmd = commands.add_parser(
         "portfolio", parents=[output_parent, model_parent],
@@ -523,13 +472,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except _UsageError as exc:
+        args.func(args, _resolve(args))
+    except (_UsageError, CanopyError, OSError) as exc:
         print(f"canopy: error: {exc}", file=sys.stderr)
-        return 2
-    except (CanopyError, OSError) as exc:
-        print(f"canopy: error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _UsageError) else 1
+    return 0
 
 
 if __name__ == "__main__":

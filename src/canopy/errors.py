@@ -3,6 +3,17 @@ the immutable record base of its value types."""
 
 import math
 
+__all__ = [
+    "CanopyError",
+    "DomainError",
+    "RangeError",
+    "IntegrationError",
+    "ValidationError",
+    "ParseError",
+    "UnderdeterminedError",
+    "UnknownSpeciesError",
+]
+
 
 class CanopyError(Exception):
     """Base class for all canopy errors."""

@@ -18,7 +18,9 @@ import math
 from enum import Enum
 from typing import Union
 
-from .errors import DomainError, RangeError, Record, ValidationError, anywhere, require_finite
+from .errors import (
+    DomainError, RangeError, Record, UnknownSpeciesError, ValidationError, anywhere, require_finite,
+)
 
 __all__ = [
     "WoodType",
@@ -90,8 +92,9 @@ class SpeciesSpec(Record):
     """One of the nine wood-type x size-class growth cases.
 
     Attributes:
-        wood: Wood type selecting the growth curve and diameter model.
-        size: Size class selecting the cap rule.
+        wood: Wood type, or its name, selecting the growth curve and
+            diameter model; an unknown name raises UnknownSpeciesError.
+        size: Size class, or its name, selecting the cap rule.
         continuous_cap: Use ``min(curve, cap_height)`` instead of snapping
             to the cap height at the cap age.  Non-default variant; the
             reference tables are reproduced with ``False``.
@@ -110,6 +113,11 @@ class SpeciesSpec(Record):
     continuous_cap: bool = False
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "wood", WoodType(self.wood))
+            object.__setattr__(self, "size", SizeClass(self.size))
+        except ValueError as exc:
+            raise UnknownSpeciesError(str(exc)) from None
         cap_height, cap_time = _CAP_BY_SIZE[self.size]
         start = CONIFER_DOMAIN_START_YEARS if self.wood is WoodType.CONIFER else 0.0
         object.__setattr__(self, "cap_height", cap_height)

@@ -79,17 +79,28 @@ def derive_removal_probability(census: CensusInput) -> RemovalModel:
 
     Raises:
         DomainError: If the implied removals reach the whole population
-            (``F >= 1``).
+            (``F >= 1``), if the census figures overflow the float range
+            on the way to F, or if the removals are so few against the
+            window that p rounds to 0.
     """
     annual_planting = census.standing_stock / census.assumed_lifespan
     planted = annual_planting * census.horizon
     removed = planted + census.storm_felled
     fraction = removed / (census.standing_stock + planted)
+    if not math.isfinite(fraction):
+        raise DomainError(f"census figures overflow the float range (F = {fraction})")
     if fraction >= 1.0:
         raise DomainError(
             f"removals exceed the standing population (F = {fraction:.4f})"
         )
-    return RemovalModel(p=1.0 - (1.0 - fraction) ** (1.0 / census.horizon))
+    p = 1.0 - (1.0 - fraction) ** (1.0 / census.horizon)
+    # F < 1 keeps p below 1, but a tiny F over a long window rounds p to 0
+    if p == 0.0:
+        raise DomainError(
+            f"census removals are too few to give a positive p "
+            f"(F = {fraction:.4g} over {census.horizon:g} years)"
+        )
+    return RemovalModel(p=p)
 
 
 def survival_fraction(model: RemovalModel, t: Numeric) -> Numeric:

@@ -11,7 +11,6 @@ from canopy import (
     SegmentAbsorption,
     ValidationError,
     all_species,
-    breakdown_table,
     carbon_constant,
     creditable_absorption,
     default_carbon_factors,
@@ -288,38 +287,3 @@ class TestExpectedAbsorption:
                 creditable=0.5,
                 expected_total=-0.5,
             )
-
-
-class TestBreakdown:
-    def test_evergreen_medium_rows(self, models, constant):
-        spec = species("evergreen", "medium")
-        report = expected_absorption(
-            spec, models[spec.wood], default_removal_model(spec.size), constant
-        )
-        rows = breakdown_table(report)
-        expected = SEGMENTS[("evergreen", "medium")]
-        assert len(rows) == len(expected)
-        for row, value in zip(rows, expected):
-            assert row.in_process == pytest.approx(value, rel=0.01)
-        assert rows[-1].creditable == pytest.approx(0.082888505, rel=1e-6)
-        assert all(row.creditable is None for row in rows[:-1])
-
-    def test_deciduous_shrub_rows(self, models, constant):
-        spec = species("deciduous", "shrub")
-        report = expected_absorption(
-            spec, models[spec.wood], default_removal_model(spec.size), constant
-        )
-        rows = breakdown_table(report)
-        for row, value in zip(rows, SEGMENTS[("deciduous", "shrub")]):
-            assert row.in_process == pytest.approx(value, rel=0.01)
-        assert rows[-1].creditable == pytest.approx(0.002098837, rel=1e-6)
-
-    def test_single_segment_report(self, models, constant):
-        # a horizon of 4 years keeps evergreen-tall inside its first rule
-        spec = species("evergreen", "tall")
-        report = expected_absorption(
-            spec, models[spec.wood], default_removal_model(spec.size), constant, horizon=4.0
-        )
-        rows = breakdown_table(report)
-        assert len(rows) == 1
-        assert rows[0].in_process + rows[0].creditable == report.expected_total

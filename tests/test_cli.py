@@ -1,16 +1,45 @@
+import contextlib
+import io
 import json
+import math
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from canopy.cli import main
+from canopy.cli import _FORMATS, _SETTINGS, main
 
 from reference_values import CONIFER_FIT_ORACLE
+
+COMMANDS = ("estimate", "breakdown", "portfolio", "derive-p", "fit")
+# the commands that take the model flags; every command reads the config
+MODEL_COMMANDS = ("estimate", "breakdown", "portfolio")
+# flag and config values that a settings check has to survive
+EXTREMES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e308)
+# carbon factors whose constant leaves the float range: (factors, message)
+OUT_OF_RANGE_FACTORS = [
+    ({"bef": 1e308, "bd": 1e308}, "c must be finite, got inf"),
+    ({"cf": 5e-324, "bef": 5e-324, "bd": 5e-324}, "carbon constant must be positive"),
+]
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def command_argv(command, directory):
+    """Arguments that make ``command`` succeed under the default settings."""
+    inventory = directory / "inventory.csv"
+    inventory.write_text("label,wood,size,count\nstreet-A,evergreen,tall,1\n")
+    return {
+        "estimate": ["estimate", "--wood", "evergreen", "--size", "tall"],
+        "breakdown": ["breakdown", "--wood", "conifer", "--size", "medium"],
+        "portfolio": ["portfolio", str(inventory)],
+        "derive-p": ["derive-p", "--stock", "6670000", "--lifespan", "35", "--horizon", "15"],
+        "fit": ["fit", "--reference", "conifer", "--breakpoints", "300"],
+    }[command]
 
 
 class TestEstimate:
@@ -227,6 +256,33 @@ class TestNonFiniteInput:
         assert code == 2 and out == ""
         assert "bef" in err
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("factors,message", OUT_OF_RANGE_FACTORS)
+    def test_carbon_constant_out_of_range(self, capsys, tmp_path, command, factors, message):
+        # every command resolves the constant: from the config file always,
+        # and from the flags where the command takes them
+        argv = command_argv(command, tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(factors))
+        sources = [["--config", str(config)]]
+        if command in MODEL_COMMANDS:
+            sources.append([f"--{name}={value!r}" for name, value in factors.items()])
+        for source in sources:
+            code, out, err = run(capsys, *argv, *source)
+            assert code == 2 and out == ""
+            assert message in err
+
+    @pytest.mark.parametrize("key", ["horizon", "bef"])
+    def test_config_integer_past_float_range(self, capsys, tmp_path, key):
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"{key}": 1{"0" * 400}}}')
+        code, out, err = run(
+            capsys, "estimate", "--wood", "evergreen", "--size", "tall",
+            "--config", str(config),
+        )
+        assert code == 2 and out == ""
+        assert f"{key} must be" in err and "inf" in err
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_horizon_non_finite(self, capsys, value):
         code, out, err = run(
@@ -434,3 +490,102 @@ class TestConfig:
         )
         payload = json.loads(out)
         assert payload["carbon_constant"] == pytest.approx(1e-6, rel=1e-12)
+
+
+def _non_finite(token):
+    try:
+        return not math.isfinite(float(token))
+    except ValueError:
+        return False
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+# half the draws are typical, so that many runs get past the checks
+def _values(typical, *others):
+    return st.sampled_from(EXTREMES + others + (typical,) * len(EXTREMES + others))
+
+
+# a huge integer, a string and a bool are not numbers to a config
+NOT_NUMBERS = (10**400, "0.5", True)
+
+# each command's own numeric flags, with a typical value
+OWN_FLAGS = {
+    "portfolio": [("--emissions", 10.0), ("--steward-years", 3.0)],
+    "derive-p": [("--stock", 6670000.0), ("--lifespan", 35.0), ("--horizon", 15.0),
+                 ("--storm-felled", 380000.0)],
+    "fit": [("--breakpoints", 300.0)],
+}
+
+
+@st.composite
+def cli_runs(draw):
+    """A subcommand with up to four of its flags and config keys drawn
+    from the extremes or a typical value.  Returns the command, the drawn
+    flags, the config, the format that applies and where the output path
+    is given: by ``--output``, by the config's ``output`` key, or not."""
+    command = draw(st.sampled_from(COMMANDS))
+    # every numeric value a run reads: (flag or None, config key or None, typical)
+    slots = [(None, name, default) for name, _, kind, default, _ in _SETTINGS if kind is float]
+    if command in MODEL_COMMANDS:
+        slots += [(flag, None, default)
+                  for _, flag, kind, default, _ in _SETTINGS if kind is float]
+    slots += [(flag, None, typical) for flag, typical in OWN_FLAGS.get(command, [])]
+    argv, config = [], {}
+    for flag, key, typical in draw(st.lists(st.sampled_from(slots), max_size=4, unique=True)):
+        if flag is not None:
+            argv.append(f"{flag}={draw(_values(typical))!r}")
+        else:
+            config[key] = draw(_values(typical, *NOT_NUMBERS))
+    if draw(st.booleans()):
+        config["format"] = draw(st.sampled_from(_FORMATS + ("xml",)))
+    fmt = draw(st.sampled_from((None,) + _FORMATS))
+    if fmt is not None:
+        argv.append(f"--format={fmt}")
+    fmt = fmt or config.get("format", "table")
+    return command, argv, config, fmt, draw(st.sampled_from((None, "--output", "output")))
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-runs")
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_=cli_runs())
+def test_any_settings_exit_cleanly_without_non_finite_output(workdir, run_):
+    """Any mix of extreme flag and config values exits 0, 1 or 2 without
+    an exception, and what it prints holds no inf or nan."""
+    command, extra, config, fmt, output_by = run_
+    config_path, output = workdir / "config.json", workdir / "out.txt"
+    output.unlink(missing_ok=True)
+    # later flags win, so the drawn ones override the base arguments
+    argv = command_argv(command, workdir) + extra + ["--config", str(config_path)]
+    if output_by == "--output":
+        argv += ["--output", str(output)]
+    elif output_by == "output":
+        config["output"] = str(output)
+    config_path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a malformed flag
+            code = exc.code
+    assert code in (0, 1, 2), err.getvalue()
+    text = out.getvalue()
+    if code != 0:
+        assert text == ""
+        return
+    if output_by is not None:
+        assert text == ""
+        text = output.read_text()
+    tokens = [t for t in re.split(r"[\s,]+", text) if _non_finite(t)]
+    if fmt == "json":
+        json.loads(text, parse_constant=_refuse_constant)
+        assert tokens == []
+    else:
+        # fit marks its open last segment's upper bound as inf
+        assert tokens == (["inf"] if command == "fit" else [])

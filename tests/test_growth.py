@@ -12,10 +12,13 @@ from canopy import (
     RangeError,
     SizeClass,
     SpeciesSpec,
+    UnknownSpeciesError,
     ValidationError,
     WoodType,
     all_species,
+    default_removal_model,
     diameter_from_height,
+    expected_absorption,
     height,
     integration_segments,
     species,
@@ -292,6 +295,21 @@ class TestSpecies:
     def test_domain_start(self):
         assert species("conifer", "shrub").domain_start == 1.0
         assert species("deciduous", "shrub").domain_start == 0.0
+
+    def test_spec_built_from_names_is_the_shared_spec(self, models, constant):
+        built, shared = SpeciesSpec("conifer", "tall"), species("conifer", "tall")
+        assert built.wood is WoodType.CONIFER and built.size is SizeClass.TALL
+        assert built.domain_start == 1.0 and hash(built) == hash(shared)
+        assert height(built, 2.0) == height(shared, 2.0)
+        with pytest.raises(DomainError):
+            height(built, 0.5)
+        args = (models[WoodType.CONIFER], default_removal_model("tall"), constant)
+        assert expected_absorption(built, *args) == expected_absorption(shared, *args)
+
+    @pytest.mark.parametrize("wood,size", [("oak", "tall"), ("conifer", "huge")])
+    def test_spec_rejects_unknown_names(self, wood, size):
+        with pytest.raises(UnknownSpeciesError):
+            SpeciesSpec(wood, size)
 
 
 class TestIntegrationSegments:

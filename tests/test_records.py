@@ -12,7 +12,6 @@ import pytest
 
 from canopy import (
     AbsorptionReport,
-    BreakdownRow,
     CarbonConstant,
     CarbonFactors,
     CensusInput,
@@ -32,7 +31,6 @@ from canopy import (
     TimeSegment,
     WoodType,
 )
-from canopy.cli import CliConfig, _Settings
 from canopy.errors import Record
 
 EMPTY = inspect.Parameter.empty
@@ -40,8 +38,6 @@ SPEC = SpeciesSpec(WoodType.EVERGREEN, SizeClass.TALL)
 SEG = DiameterSegment(0.0, None, 0.5, 1.0)
 MODEL = DiameterModel(None, (SEG,))
 PIECE = SegmentAbsorption(0.0, 1.0, "a", 2.0)
-P = RemovalModel(0.5)
-FACTORS = CarbonFactors(1.5, 0.25, 0.5, 0.5)
 SEG_REPR = "DiameterSegment(h_lo=0.0, h_hi=None, slope=0.5, intercept=1.0)"
 SPEC_REPR = (
     "SpeciesSpec(wood=<WoodType.EVERGREEN: 'evergreen'>, "
@@ -99,12 +95,6 @@ CASES = {
         "creditable=1.0, expected_total=3.0)",
         ("horizon", 20.0),
     ),
-    BreakdownRow: (
-        [("period", EMPTY), ("in_process", EMPTY), ("creditable", EMPTY)],
-        ("-", 0.0, None),
-        "BreakdownRow(period='-', in_process=0.0, creditable=None)",
-        ("creditable", 1.0),
-    ),
     RemovalModel: ([("p", EMPTY)], (0.5,), "RemovalModel(p=0.5)", ("p", 0.25)),
     CensusInput: (
         [("standing_stock", EMPTY), ("assumed_lifespan", EMPTY), ("horizon", EMPTY),
@@ -158,24 +148,6 @@ CASES = {
         "PortfolioReport(per_cohort=(), gross_credit=0.0, project_emissions=1.0, "
         "net_credit=-1.0, shortfall=True)",
         ("shortfall", False),
-    ),
-    CliConfig: (
-        [(name, None) for name in
-         ("p_tall", "p_medium_shrub", "bef", "rtsr", "bd", "cf", "horizon", "format",
-          "output")],
-        (0.5,),
-        "CliConfig(p_tall=0.5, p_medium_shrub=None, bef=None, rtsr=None, bd=None, "
-        "cf=None, horizon=None, format=None, output=None)",
-        ("format", "json"),
-    ),
-    _Settings: (
-        [("p_tall", EMPTY), ("p_medium_shrub", EMPTY), ("factors", EMPTY),
-         ("horizon", EMPTY), ("fmt", EMPTY), ("output", EMPTY), ("continuous_cap", EMPTY)],
-        (P, P, FACTORS, 100.0, "json", None, False),
-        "_Settings(p_tall=RemovalModel(p=0.5), p_medium_shrub=RemovalModel(p=0.5), "
-        "factors=CarbonFactors(bef=1.5, rtsr=0.25, bd=0.5, cf=0.5), horizon=100.0, "
-        "fmt='json', output=None, continuous_cap=False)",
-        ("fmt", "csv"),
     ),
 }
 

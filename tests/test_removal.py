@@ -33,6 +33,16 @@ class TestDerive:
         with pytest.raises(DomainError):
             derive_removal_probability(CensusInput(1e5, 35.0, 15.0, 2e5))
 
+    def test_overflowing_census_names_the_census(self):
+        # the planted count overflows, so F = inf / inf is nan, which no comparison catches
+        with pytest.raises(DomainError, match="census figures overflow"):
+            derive_removal_probability(CensusInput(1e308, 5e-324, 1e308))
+
+    def test_p_underflowing_to_zero_names_the_census(self):
+        # F = 0.5 over a 1e308-year window gives (1 - F)^(1/window) == 1.0
+        with pytest.raises(DomainError, match="census removals are too few"):
+            derive_removal_probability(CensusInput(1.0, 1e308, 1e308))
+
     def test_fraction_round_trip(self):
         census = CensusInput(*CENSUS_TALL[:4])
         model = derive_removal_probability(census)
