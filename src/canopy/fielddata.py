@@ -9,7 +9,7 @@ coefficients by per-segment ordinary least squares.
 import csv
 import math
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DomainError,
@@ -77,7 +77,7 @@ _WOOD_ALIASES = {w.value: w for w in WoodType}
 
 
 def _parse_wood(text: str, row: int) -> WoodType:
-    wood = _WOOD_ALIASES.get(text.strip().lower())
+    wood = _WOOD_ALIASES.get(text.lower())
     if wood is None:
         raise ParseError(f"unknown wood type {text!r}", row=row)
     return wood
@@ -96,30 +96,45 @@ def _parse_positive(text: str, column: str, row: int) -> float:
 
 
 def _read_table(
-    path: str | Path, required: Sequence[str]
-) -> tuple[dict[str, int], list[list[str]]]:
-    """Column positions and data rows of a CSV file with a header row.
+    path: str | Path, required: Sequence[str], optional: Sequence[str] = ()
+) -> Iterator[tuple[int, list[str]]]:
+    """The data rows of a CSV file with a header row, read one at a time.
 
-    ``#``-prefixed and blank lines are skipped, and header names are
-    stripped and lower-cased.  An empty file gives no columns and no rows.
+    Each row comes as its 1-based number and its stripped cells for the
+    ``required`` columns, then the ``optional`` ones; an optional column
+    missing from the header or the row reads as "".  ``#``-prefixed and
+    blank lines are skipped, a leading byte-order mark is ignored, header
+    names are stripped and lower-cased, and a repeated name means its
+    first column.  An empty file has no rows.
 
     Raises:
-        ParseError: If a ``required`` column is missing from the header.
+        ParseError: If the header lacks a ``required`` column or names
+            none of the ``optional`` ones, or a row is too short for a
+            required column (with the row number).
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = [
-            line
-            for line in csv.reader(handle)
-            if line and any(cell.strip() for cell in line)
-            and not line[0].lstrip().startswith("#")
-        ]
-    if not rows:
-        return {}, []
-    header = [cell.strip().lower() for cell in rows[0]]
-    for name in required:
-        if name not in header:
-            raise ParseError(f"missing column {name!r} in header")
-    return {name: header.index(name) for name in header}, rows[1:]
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        lines = (
+            line for line in csv.reader(handle)
+            if any(cell.strip() for cell in line) and not line[0].lstrip().startswith("#")
+        )
+        header = [cell.strip().lower() for cell in next(lines, ())]
+        if not header:
+            return
+        for name in required:
+            if name not in header:
+                raise ParseError(f"missing column {name!r} in header")
+        if optional and not any(name in header for name in optional):
+            raise ParseError(f"header needs a {' or '.join(optional)} column")
+        # an optional column the header lacks points one past its end
+        positions = [header.index(n) if n in header else len(header) for n in (*required, *optional)]
+        width = max(positions) + 1
+        for row_number, line in enumerate(lines, start=1):
+            if len(line) < width:
+                for name, pos in zip(required, positions):
+                    if pos >= len(line):
+                        raise ParseError(f"missing {name} value", row=row_number)
+                line += [""] * (width - len(line))
+            yield row_number, [line[pos].strip() for pos in positions]
 
 
 def load_measurements(path: str | Path) -> list[Measurement]:
@@ -133,27 +148,17 @@ def load_measurements(path: str | Path) -> list[Measurement]:
     an empty list.
 
     Raises:
-        ParseError: Malformed header, unknown wood, or unparseable number
-            (with the 1-based data row number).
+        ParseError: Malformed header, short row, unknown wood, or
+            unparseable number (with the 1-based data row number).
         ValidationError: Nonpositive values, or both/neither of
             girth/diameter present.
     """
-    index, rows = _read_table(path, ("wood", "height_cm"))
-    if index and "girth_cm" not in index and "diameter_cm" not in index:
-        raise ParseError("header needs a girth_cm or diameter_cm column")
-
-    def cell(line: list[str], column: str) -> str:
-        pos = index.get(column)
-        if pos is None or pos >= len(line):
-            return ""
-        return line[pos].strip()
-
     measurements = []
-    for row_number, line in enumerate(rows, start=1):
-        wood = _parse_wood(cell(line, "wood"), row_number)
-        height = _parse_positive(cell(line, "height_cm"), "height_cm", row_number)
-        girth_text = cell(line, "girth_cm")
-        diameter_text = cell(line, "diameter_cm")
+    for row_number, (wood_text, height_text, girth_text, diameter_text) in _read_table(
+        path, ("wood", "height_cm"), ("girth_cm", "diameter_cm")
+    ):
+        wood = _parse_wood(wood_text, row_number)
+        height = _parse_positive(height_text, "height_cm", row_number)
         if bool(girth_text) == bool(diameter_text):
             raise ValidationError(
                 f"row {row_number}: exactly one of girth_cm/diameter_cm "
@@ -161,19 +166,11 @@ def load_measurements(path: str | Path) -> list[Measurement]:
             )
         if girth_text:
             girth = _parse_positive(girth_text, "girth_cm", row_number)
-            measurements.append(
-                Measurement(
-                    wood=wood,
-                    height=height,
-                    girth=girth,
-                    diameter=girth_to_diameter(girth),
-                )
-            )
+            diameter = girth_to_diameter(girth)
         else:
+            girth = None
             diameter = _parse_positive(diameter_text, "diameter_cm", row_number)
-            measurements.append(
-                Measurement(wood=wood, height=height, diameter=diameter)
-            )
+        measurements.append(Measurement(wood, height, girth, diameter))
     return measurements
 
 

@@ -125,10 +125,11 @@ class SpeciesSpec(Record):
         object.__setattr__(self, "domain_start", start)
 
 
-# all 18 specs, built once: species() hands out these instances
+# all 18 specs, built once and found by enum members or by names: species() hands them out
 _SPECS = {
     (w, s, c): SpeciesSpec(w, s, c) for w in WoodType for s in SizeClass for c in (False, True)
 }
+_SPECS.update({(w.value, s.value, c): spec for (w, s, c), spec in _SPECS.items()})
 
 
 def species(
@@ -137,8 +138,17 @@ def species(
     *,
     continuous_cap: bool = False,
 ) -> SpeciesSpec:
-    """The spec for a wood type and size class, shared between calls."""
-    return _SPECS[WoodType(wood), SizeClass(size), bool(continuous_cap)]
+    """The spec for a wood type and size class, shared between calls.
+
+    Raises:
+        UnknownSpeciesError: If ``wood`` or ``size`` names no known value.
+    """
+    key = (wood, size, bool(continuous_cap))
+    try:
+        return _SPECS[key]
+    except (KeyError, TypeError):  # a new spec converts the names, or raises for unknown ones
+        spec = SpeciesSpec(*key)
+        return _SPECS[spec.wood, spec.size, spec.continuous_cap]
 
 
 def all_species() -> tuple[SpeciesSpec, ...]:

@@ -22,7 +22,7 @@ from .errors import (
     require_finite,
 )
 from .fielddata import _read_table
-from .growth import SizeClass, SpeciesSpec, WoodType
+from .growth import SizeClass, SpeciesSpec
 from .removal import RemovalModel
 
 __all__ = [
@@ -203,45 +203,22 @@ def load_inventory(path: str | Path) -> list[PlantingCohort]:
     lines are skipped.
 
     Raises:
-        ParseError: Missing columns or unparseable count (with row number).
+        ParseError: Missing columns, short row or unparseable count (with
+            row number).
         UnknownSpeciesError: Wood or size not among the known values.
         ValidationError: Negative count.
     """
-    index, rows = _read_table(path, ("label", "wood", "size", "count"))
     cohorts = []
-    for row_number, line in enumerate(rows, start=1):
-        def cell(column: str) -> str:
-            pos = index[column]
-            if pos >= len(line):
-                raise ParseError(f"missing {column} value", row=row_number)
-            return line[pos].strip()
-
-        wood_text = cell("wood").lower()
-        size_text = cell("size").lower()
+    for row_number, (label, wood, size, count_text) in _read_table(
+        path, ("label", "wood", "size", "count")
+    ):
         try:
-            wood = WoodType(wood_text)
-        except ValueError:
-            raise UnknownSpeciesError(
-                f"row {row_number}: unknown wood type {wood_text!r}"
-            ) from None
-        try:
-            size = SizeClass(size_text)
-        except ValueError:
-            raise UnknownSpeciesError(
-                f"row {row_number}: unknown size class {size_text!r}"
-            ) from None
-        count_text = cell("count")
+            spec = growth.species(wood.lower(), size.lower())
+        except UnknownSpeciesError as exc:
+            raise UnknownSpeciesError(f"row {row_number}: {exc}") from None
         try:
             count = int(count_text)
         except ValueError:
-            raise ParseError(
-                f"bad count {count_text!r}", row=row_number
-            ) from None
-        cohorts.append(
-            PlantingCohort(
-                spec=growth.species(wood, size),
-                count=count,
-                label=cell("label"),
-            )
-        )
+            raise ParseError(f"bad count {count_text!r}", row=row_number) from None
+        cohorts.append(PlantingCohort(spec, count, label))
     return cohorts

@@ -130,6 +130,25 @@ class TestLoadMeasurements:
         with pytest.raises(ParseError):
             load_measurements(path)
 
+    def test_short_row_reads_missing_optional_cells_as_empty(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("wood,height_cm,girth_cm,diameter_cm\nevergreen,250,11\n")
+        (measurement,) = load_measurements(path)
+        assert (measurement.girth, measurement.diameter) == (11.0, girth_to_diameter(11.0))
+
+    def test_row_too_short_for_height(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("wood,height_cm,girth_cm\nevergreen,250,11\ndeciduous\n")
+        with pytest.raises(ParseError, match="missing height_cm value") as excinfo:
+            load_measurements(path)
+        assert excinfo.value.row == 2
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeffwood,height_cm,girth_cm\nevergreen,250,11\n", encoding="utf-8")
+        (measurement,) = load_measurements(path)
+        assert (measurement.wood, measurement.height) == (WoodType.EVERGREEN, 250.0)
+
 
 class TestFit:
     def test_noiseless_recovery_of_builtin_model(self):

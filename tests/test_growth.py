@@ -289,7 +289,7 @@ class TestSpecies:
         ],
     )
     def test_species_rejects_unknown_names(self, wood, size, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(UnknownSpeciesError, match=message):
             species(wood, size)
 
     def test_domain_start(self):

@@ -183,7 +183,7 @@ class TestLoadInventory:
         assert len(cohorts) == 2
         assert cohorts[0].label == "street-A"
         assert cohorts[0].count == 120
-        assert cohorts[1].spec == species("conifer", "shrub")
+        assert cohorts[1].spec is species("conifer", "shrub")
 
     def test_negative_count(self, tmp_path):
         path = tmp_path / "inv.csv"
@@ -193,14 +193,14 @@ class TestLoadInventory:
 
     def test_unknown_size(self, tmp_path):
         path = tmp_path / "inv.csv"
-        path.write_text("label,wood,size,count\nx,evergreen,bonsai,5\n")
-        with pytest.raises(UnknownSpeciesError):
+        path.write_text("label,wood,size,count\nx,evergreen,tall,5\ny,evergreen,bonsai,5\n")
+        with pytest.raises(UnknownSpeciesError, match="^row 2: 'bonsai' is not a valid SizeClass$"):
             load_inventory(path)
 
     def test_unknown_wood(self, tmp_path):
         path = tmp_path / "inv.csv"
-        path.write_text("label,wood,size,count\nx,oak,tall,5\n")
-        with pytest.raises(UnknownSpeciesError):
+        path.write_text("label,wood,size,count\nx,Oak,tall,5\n")
+        with pytest.raises(UnknownSpeciesError, match="^row 1: 'oak' is not a valid WoodType$"):
             load_inventory(path)
 
     def test_bad_count(self, tmp_path):
@@ -220,3 +220,16 @@ class TestLoadInventory:
         path = tmp_path / "inv.csv"
         path.write_text("")
         assert load_inventory(path) == []
+
+    def test_row_too_short_for_count(self, tmp_path):
+        path = tmp_path / "inv.csv"
+        path.write_text("label,wood,size,count\nx,evergreen,tall,5\ny,evergreen,tall\n")
+        with pytest.raises(ParseError, match="missing count value") as excinfo:
+            load_inventory(path)
+        assert excinfo.value.row == 2
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        path = tmp_path / "inv.csv"
+        path.write_text("\ufefflabel,wood,size,count\nx,evergreen,tall,5\n", encoding="utf-8")
+        (cohort,) = load_inventory(path)
+        assert (cohort.label, cohort.spec, cohort.count) == ("x", species("evergreen", "tall"), 5)
