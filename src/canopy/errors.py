@@ -16,7 +16,10 @@ __all__ = [
 
 
 class CanopyError(Exception):
-    """Base class for all canopy errors."""
+    """Base class for all canopy errors.  The CSV reader sets ``row`` to the
+    1-based data row that raised one (``None`` otherwise)."""
+
+    row: int | None = None
 
 
 class DomainError(CanopyError, ValueError):
@@ -36,17 +39,7 @@ class ValidationError(CanopyError, ValueError):
 
 
 class ParseError(CanopyError, ValueError):
-    """An input file could not be parsed.
-
-    Carries the 1-based data row number where the problem was found
-    (``None`` for file-level problems such as a bad header).
-    """
-
-    def __init__(self, message: str, row: int | None = None):
-        self.row = row
-        if row is not None:
-            message = f"row {row}: {message}"
-        super().__init__(message)
+    """An input file could not be parsed."""
 
 
 class UnderdeterminedError(CanopyError, ValueError):

@@ -9,16 +9,17 @@ coefficients by per-segment ordinary least squares.
 import csv
 import math
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
+    CanopyError,
     DomainError,
     ParseError,
     Record,
     UnderdeterminedError,
     ValidationError,
 )
-from .growth import DiameterModel, DiameterSegment, WoodType
+from .growth import DiameterModel, DiameterSegment, WoodType, _member, default_diameter_models
 
 __all__ = [
     "GIRTH_PI",
@@ -37,17 +38,30 @@ GIRTH_PI = 3.14
 
 
 class Measurement(Record):
-    """One height/girth/diameter observation for a wood type.
+    """One height/girth/diameter observation for a wood type or its name.
 
-    At ingest exactly one of ``girth``/``diameter`` is given; the loader
-    fills ``diameter`` in from ``girth``.  Embedded reference rows carry
-    both (girth as surveyed, diameter as published).
+    An unknown name raises UnknownSpeciesError.  Each value given must be
+    positive and finite, and a girth or a diameter must be (else
+    ValidationError); a girth alone fills ``diameter`` in through
+    :func:`girth_to_diameter`.  Embedded reference rows carry both (girth
+    as surveyed, diameter as published).
     """
 
     wood: WoodType
     height: float
     girth: float | None = None
     diameter: float | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "wood", _member(WoodType, self.wood))
+        for name in ("height", "girth", "diameter"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValidationError(f"{name} must be positive and finite, got {value}")
+        if self.diameter is None:
+            if self.girth is None:
+                raise ValidationError("measurement needs a girth or a diameter")
+            object.__setattr__(self, "diameter", girth_to_diameter(self.girth))
 
 
 class FitResult(Record):
@@ -66,60 +80,43 @@ def girth_to_diameter(girth: float) -> float:
 
 
 def default_breakpoints(wood: WoodType | str) -> tuple[float, ...]:
-    """Breakpoints behind the built-in models: [250, 300] for evergreen,
-    [300] for deciduous and conifer."""
-    if WoodType(wood) is WoodType.EVERGREEN:
-        return (250.0, 300.0)
-    return (300.0,)
-
-
-_WOOD_ALIASES = {w.value: w for w in WoodType}
-
-
-def _parse_wood(text: str, row: int) -> WoodType:
-    wood = _WOOD_ALIASES.get(text.lower())
-    if wood is None:
-        raise ParseError(f"unknown wood type {text!r}", row=row)
-    return wood
-
-
-def _parse_positive(text: str, column: str, row: int) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ParseError(f"bad number {text!r} in column {column}", row=row) from None
-    if not math.isfinite(value):
-        raise ParseError(f"non-finite value in column {column}", row=row)
-    if value <= 0.0:
-        raise ValidationError(f"row {row}: {column} must be positive, got {value}")
-    return value
+    """Where each segment but the first of the built-in diameter model of
+    a wood type (or its name) begins."""
+    segments = default_diameter_models()[_member(WoodType, wood)].segments
+    return tuple(seg.h_lo for seg in segments[1:])
 
 
 def _read_table(
-    path: str | Path, required: Sequence[str], optional: Sequence[str] = ()
-) -> Iterator[tuple[int, list[str]]]:
-    """The data rows of a CSV file with a header row, read one at a time.
+    path: str | Path,
+    make: Callable[..., Record],
+    required: Sequence[str],
+    optional: Sequence[str] = (),
+) -> list:
+    """The records that ``make`` builds from the data rows of a CSV file
+    with a header row, read one row at a time.
 
-    Each row comes as its 1-based number and its stripped cells for the
-    ``required`` columns, then the ``optional`` ones; an optional column
-    missing from the header or the row reads as "".  ``#``-prefixed and
-    blank lines are skipped, a leading byte-order mark is ignored, header
-    names are stripped and lower-cased, and a repeated name means its
-    first column.  An empty file has no rows.
+    ``make`` gets a row's stripped cells for the ``required`` columns,
+    then the ``optional`` ones; an optional column missing from the header
+    or the row reads as "".  ``#``-prefixed and blank lines are skipped, a
+    leading byte-order mark is ignored, header names are stripped and
+    lower-cased, and a repeated name means its first column.  An empty
+    file has no rows.
 
     Raises:
         ParseError: If the header lacks a ``required`` column or names
             none of the ``optional`` ones, or a row is too short for a
-            required column (with the row number).
+            required column.
+        CanopyError: Whatever ``make`` raises.  An error that a data row
+            raises gets its 1-based number as ``row`` and a ``row N: `` prefix.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         lines = (
             line for line in csv.reader(handle)
-            if any(cell.strip() for cell in line) and not line[0].lstrip().startswith("#")
+            if "".join(line).strip() and not line[0].lstrip().startswith("#")
         )
         header = [cell.strip().lower() for cell in next(lines, ())]
         if not header:
-            return
+            return []
         for name in required:
             if name not in header:
                 raise ParseError(f"missing column {name!r} in header")
@@ -128,13 +125,35 @@ def _read_table(
         # an optional column the header lacks points one past its end
         positions = [header.index(n) if n in header else len(header) for n in (*required, *optional)]
         width = max(positions) + 1
+        records = []
         for row_number, line in enumerate(lines, start=1):
-            if len(line) < width:
-                for name, pos in zip(required, positions):
-                    if pos >= len(line):
-                        raise ParseError(f"missing {name} value", row=row_number)
-                line += [""] * (width - len(line))
-            yield row_number, [line[pos].strip() for pos in positions]
+            try:
+                if len(line) < width:
+                    for name, pos in zip(required, positions):
+                        if pos >= len(line):
+                            raise ParseError(f"missing {name} value")
+                    line += [""] * (width - len(line))
+                records.append(make(*[line[pos].strip() for pos in positions]))
+            except CanopyError as exc:
+                exc.row, exc.args = row_number, (f"row {row_number}: {exc}",)
+                raise
+        return records
+
+
+def _number(text: str, column: str, kind: type = float):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ParseError(f"bad number {text!r} in column {column}") from None
+
+
+def _measurement(wood: str, height: str, girth: str, diameter: str) -> Measurement:
+    if bool(girth) == bool(diameter):
+        raise ValidationError("exactly one of girth_cm/diameter_cm must be given")
+    height_cm = _number(height, "height_cm")
+    if girth:
+        return Measurement(wood.lower(), height_cm, _number(girth, "girth_cm"))
+    return Measurement(wood.lower(), height_cm, None, _number(diameter, "diameter_cm"))
 
 
 def load_measurements(path: str | Path) -> list[Measurement]:
@@ -144,34 +163,17 @@ def load_measurements(path: str | Path) -> list[Measurement]:
     trailing columns may be reduced to whichever one the file uses).
     Wood names are case-insensitive; ``#``-prefixed lines and blank lines
     are skipped; exactly one of girth/diameter must be non-empty per row.
-    Girth rows are converted to diameter on load.  An empty file yields
-    an empty list.
+    Each row becomes a :class:`Measurement`, which checks its values and
+    converts girth to diameter.  An empty file yields an empty list.
 
     Raises:
-        ParseError: Malformed header, short row, unknown wood, or
-            unparseable number (with the 1-based data row number).
-        ValidationError: Nonpositive values, or both/neither of
-            girth/diameter present.
+        ParseError: Malformed header, short row or unparseable number.
+        UnknownSpeciesError: Unknown wood name.
+        ValidationError: Non-finite or nonpositive values, or both or
+            neither of girth/diameter present.
+        Each with ``row N: `` and ``row`` set if a data row raised it.
     """
-    measurements = []
-    for row_number, (wood_text, height_text, girth_text, diameter_text) in _read_table(
-        path, ("wood", "height_cm"), ("girth_cm", "diameter_cm")
-    ):
-        wood = _parse_wood(wood_text, row_number)
-        height = _parse_positive(height_text, "height_cm", row_number)
-        if bool(girth_text) == bool(diameter_text):
-            raise ValidationError(
-                f"row {row_number}: exactly one of girth_cm/diameter_cm "
-                "must be given"
-            )
-        if girth_text:
-            girth = _parse_positive(girth_text, "girth_cm", row_number)
-            diameter = girth_to_diameter(girth)
-        else:
-            girth = None
-            diameter = _parse_positive(diameter_text, "diameter_cm", row_number)
-        measurements.append(Measurement(wood, height, girth, diameter))
-    return measurements
+    return _read_table(path, _measurement, ("wood", "height_cm"), ("girth_cm", "diameter_cm"))
 
 
 def _ols(points: Sequence[tuple[float, float]]) -> tuple[float, float, float, float]:

@@ -62,6 +62,19 @@ class SizeClass(str, Enum):
     SHRUB = "shrub"
 
 
+# a str enum member hashes and compares as its name, so it finds itself here
+_MEMBERS = {kind: {m.value: m for m in kind} for kind in (WoodType, SizeClass)}
+
+
+def _member(kind: type[Enum], value):
+    """The member of ``kind`` that ``value`` is or names, else UnknownSpeciesError:
+    the one name rule of every record and default taking a wood type or size."""
+    try:
+        return _MEMBERS[kind][value]
+    except (KeyError, TypeError):
+        raise UnknownSpeciesError(f"{value!r} is not a valid {kind.__name__}") from None
+
+
 MEDIUM_CAP_HEIGHT_CM = 850.0
 MEDIUM_CAP_TIME_YEARS = 16.412
 SHRUB_CAP_HEIGHT_CM = 400.0
@@ -113,11 +126,8 @@ class SpeciesSpec(Record):
     continuous_cap: bool = False
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "wood", WoodType(self.wood))
-            object.__setattr__(self, "size", SizeClass(self.size))
-        except ValueError as exc:
-            raise UnknownSpeciesError(str(exc)) from None
+        object.__setattr__(self, "wood", _member(WoodType, self.wood))
+        object.__setattr__(self, "size", _member(SizeClass, self.size))
         cap_height, cap_time = _CAP_BY_SIZE[self.size]
         start = CONIFER_DOMAIN_START_YEARS if self.wood is WoodType.CONIFER else 0.0
         object.__setattr__(self, "cap_height", cap_height)
@@ -125,11 +135,10 @@ class SpeciesSpec(Record):
         object.__setattr__(self, "domain_start", start)
 
 
-# all 18 specs, built once and found by enum members or by names: species() hands them out
+# all 18 specs, built once and found by members or by names (see _MEMBERS)
 _SPECS = {
     (w, s, c): SpeciesSpec(w, s, c) for w in WoodType for s in SizeClass for c in (False, True)
 }
-_SPECS.update({(w.value, s.value, c): spec for (w, s, c), spec in _SPECS.items()})
 
 
 def species(
@@ -143,12 +152,10 @@ def species(
     Raises:
         UnknownSpeciesError: If ``wood`` or ``size`` names no known value.
     """
-    key = (wood, size, bool(continuous_cap))
     try:
-        return _SPECS[key]
-    except (KeyError, TypeError):  # a new spec converts the names, or raises for unknown ones
-        spec = SpeciesSpec(*key)
-        return _SPECS[spec.wood, spec.size, spec.continuous_cap]
+        return _SPECS[wood, size, bool(continuous_cap)]
+    except (KeyError, TypeError):  # the name rule raises for the unknown name
+        return _SPECS[_member(WoodType, wood), _member(SizeClass, size), bool(continuous_cap)]
 
 
 def all_species() -> tuple[SpeciesSpec, ...]:
@@ -191,14 +198,17 @@ class DiameterModel(Record):
 
     Segments must be contiguous (each ``h_lo`` equals the previous
     ``h_hi``), start at 0, end open, have positive slope, and evaluate to
-    a nonnegative diameter throughout.  ``wood`` may be ``None`` for
-    models fitted from bare (height, diameter) points.
+    a nonnegative diameter throughout.  ``wood``, a wood type or its name,
+    may be ``None`` for models fitted from bare (height, diameter) points;
+    an unknown name raises UnknownSpeciesError.
     """
 
     wood: WoodType | None
     segments: tuple[DiameterSegment, ...]
 
     def __post_init__(self):
+        if self.wood is not None:
+            object.__setattr__(self, "wood", _member(WoodType, self.wood))
         if not self.segments:
             raise ValidationError("diameter model needs at least one segment")
         if self.segments[0].h_lo != 0.0:

@@ -7,6 +7,7 @@ each cohort's credit to the greening business by its years of stewardship
 """
 
 import math
+import sys
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -15,13 +16,11 @@ from . import carbon, growth, removal
 from .carbon import CarbonConstant, expected_absorption
 from .errors import (
     DomainError,
-    ParseError,
     Record,
-    UnknownSpeciesError,
     ValidationError,
     require_finite,
 )
-from .fielddata import _read_table
+from .fielddata import _number, _read_table
 from .growth import SizeClass, SpeciesSpec
 from .removal import RemovalModel
 
@@ -45,15 +44,17 @@ class CreditMode(str, Enum):
 
 
 class PlantingCohort(Record):
-    """A count of identically-specified trees in the inventory."""
+    """Identically-specified trees in the inventory; ``count`` must be an
+    integer in [0, max float] (else ValidationError), so credits stay floats."""
 
     spec: SpeciesSpec
     count: int
     label: str = ""
 
     def __post_init__(self):
-        if self.count < 0:
-            raise ValidationError(f"cohort count must be nonnegative, got {self.count}")
+        count = self.count
+        if not (isinstance(count, int) and 0 <= count <= sys.float_info.max):
+            raise ValidationError(f"cohort count must be an integer in [0, max float], got {count}")
 
 
 class ProjectParams(Record):
@@ -196,6 +197,11 @@ def evaluate_portfolio(
     )
 
 
+def _cohort(label: str, wood: str, size: str, count: str) -> PlantingCohort:
+    spec = growth.species(wood.lower(), size.lower())
+    return PlantingCohort(spec, _number(count, "count", int), label)
+
+
 def load_inventory(path: str | Path) -> list[PlantingCohort]:
     """Load planting cohorts from a CSV with header ``label,wood,size,count``.
 
@@ -203,22 +209,9 @@ def load_inventory(path: str | Path) -> list[PlantingCohort]:
     lines are skipped.
 
     Raises:
-        ParseError: Missing columns, short row or unparseable count (with
-            row number).
+        ParseError: Missing columns, short row or unparseable count.
         UnknownSpeciesError: Wood or size not among the known values.
-        ValidationError: Negative count.
+        ValidationError: A count out of range (see :class:`PlantingCohort`).
+        Each with ``row N: `` and ``row`` set if a data row raised it.
     """
-    cohorts = []
-    for row_number, (label, wood, size, count_text) in _read_table(
-        path, ("label", "wood", "size", "count")
-    ):
-        try:
-            spec = growth.species(wood.lower(), size.lower())
-        except UnknownSpeciesError as exc:
-            raise UnknownSpeciesError(f"row {row_number}: {exc}") from None
-        try:
-            count = int(count_text)
-        except ValueError:
-            raise ParseError(f"bad count {count_text!r}", row=row_number) from None
-        cohorts.append(PlantingCohort(spec, count, label))
-    return cohorts
+    return _read_table(path, _cohort, ("label", "wood", "size", "count"))

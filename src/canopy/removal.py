@@ -9,7 +9,7 @@ over the census window.  Survival after t years is ``(1 - p)^t``.
 import math
 
 from .errors import DomainError, Record, ValidationError, anywhere, require_finite
-from .growth import Numeric, SizeClass
+from .growth import Numeric, SizeClass, _member
 
 __all__ = [
     "RemovalModel",
@@ -125,12 +125,13 @@ def expected_lifespan(model: RemovalModel) -> float:
     return lifespan
 
 
-def default_removal_model(size: SizeClass) -> RemovalModel:
-    """Census-derived default removal model for a size class.
+def default_removal_model(size: SizeClass | str) -> RemovalModel:
+    """Census-derived default removal model for a size class or its name
+    (an unknown name raises UnknownSpeciesError).
 
     Tall trees use p = 0.027309; medium trees and shrubs share
     p = 0.0256977.
     """
-    if SizeClass(size) is SizeClass.TALL:
+    if _member(SizeClass, size) is SizeClass.TALL:
         return RemovalModel(DEFAULT_P_TALL)
     return RemovalModel(DEFAULT_P_MEDIUM_SHRUB)

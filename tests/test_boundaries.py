@@ -3,8 +3,11 @@ included, either raises a CanopyError or yields only finite numbers.
 
 Each case puts one drawn value into one field of an otherwise valid
 value object, or into the horizon argument of the absorption functions.
+The CSV cases write drawn cells into both input files: a load returns
+its records or names its first bad row.
 """
 
+import functools
 import math
 
 import pytest
@@ -16,6 +19,8 @@ from canopy import (
     CarbonFactors,
     CensusInput,
     DiameterSegment,
+    Measurement,
+    PlantingCohort,
     ProjectParams,
     RemovalModel,
     SizeClass,
@@ -27,8 +32,11 @@ from canopy import (
     default_diameter_models,
     default_removal_model,
     derive_removal_probability,
+    evaluate_portfolio,
     expected_absorption,
     integration_segments,
+    load_inventory,
+    load_measurements,
     species,
 )
 from canopy.errors import Record
@@ -106,6 +114,16 @@ VALUE_TYPES = {
         {"h_lo": 300.0, "h_hi": 400.0, "slope": 0.0332, "intercept": -5.6785},
         lambda s: s,
     ),
+    "Measurement": (
+        functools.partial(Measurement, "conifer"),
+        {"height": 300.0, "girth": 15.0, "diameter": 4.8},
+        lambda m: m,
+    ),
+    "PlantingCohort": (
+        functools.partial(PlantingCohort, species("evergreen", "tall")),
+        {"count": 120},
+        lambda c: (c, evaluate_portfolio([c], ProjectParams())),
+    ),
 }
 FIELDS = [
     (name, field)
@@ -132,3 +150,63 @@ def test_horizon_argument(function, spec, horizon):
     if function is not integration_segments:
         args += (default_removal_model(spec.size), CONSTANT)
     _raises_or_finite(lambda: function(*args, horizon))
+
+
+@settings(max_examples=100, deadline=None)
+@given(count=st.one_of(st.integers(), st.integers(-(10**400), 10**400)))
+def test_cohort_count(count):
+    def portfolio():
+        cohort = PlantingCohort(species("evergreen", "tall"), count)
+        return cohort, evaluate_portfolio([cohort], ProjectParams())
+
+    _raises_or_finite(portfolio)
+
+
+# cells that a survey file may hold: names in any case, numbers out of
+# range or past the float range, and empty cells
+CELLS = st.one_of(
+    st.sampled_from(
+        ["", "nan", "inf", "-inf", "1e400", "9" * 400, "-0.0", "0", "-3", "12", "250.5",
+         "x", "oak", "Conifer", "EVERGREEN", "deciduous", "tall", "Medium", "SHRUB", "huge"]
+    ),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10, 10**20).map(str),
+)
+# a row of four drawn cells, not all empty (an all-empty row is a blank
+# line, skipped), or a good row, so that a bad row can come after good ones
+DRAWN_ROWS = st.lists(CELLS, min_size=4, max_size=4).filter(any)
+TABLES = {
+    "inventory": (
+        load_inventory, "label,wood,size,count",
+        [("a", "Conifer", "SHRUB", "0"), ("b", "evergreen", "tall", "12")],
+    ),
+    "measurements": (
+        load_measurements, "wood,height_cm,girth_cm,diameter_cm",
+        [("Conifer", "250", "11", ""), ("evergreen", "300.5", "", "3.5")],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(TABLES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_load_names_first_bad_row(kind, data, tmp_path_factory):
+    load, header, good = TABLES[kind]
+    rows = data.draw(st.lists(st.sampled_from(good) | DRAWN_ROWS, min_size=1, max_size=6))
+    path = tmp_path_factory.getbasetemp() / f"drawn-{kind}.csv"
+
+    def attempt(lines):
+        path.write_text("\n".join([header, *map(",".join, lines)]) + "\n", encoding="utf-8")
+        try:
+            return load(path)
+        except CanopyError as exc:
+            return exc
+
+    # a row is bad when a file holding it alone fails to load
+    bad = [n for n, row in enumerate(rows, start=1) if isinstance(attempt([row]), CanopyError)]
+    result = attempt(rows)
+    if not bad:
+        assert len(result) == len(rows)
+    else:
+        assert isinstance(result, CanopyError)
+        assert str(result).startswith(f"row {bad[0]}: ") and result.row == bad[0], result

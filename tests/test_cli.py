@@ -221,6 +221,16 @@ class TestPortfolio:
         assert code == 1 and out == ""
         assert "float range" in err
 
+    @pytest.mark.parametrize("count,row", [("-3", 2), ("9" * 400, 1)])
+    def test_bad_count_names_its_row(self, capsys, tmp_path, count, row):
+        lines = ["label,wood,size,count", f"x,evergreen,tall,{count}"]
+        if row == 2:
+            lines.insert(1, "ok,evergreen,tall,5")
+        code, out, err = run(capsys, "portfolio", self.write_inventory(tmp_path, "\n".join(lines)))
+        assert code == 1 and out == ""
+        assert err.startswith(f"canopy: error: row {row}: cohort count must be an integer")
+        assert "Traceback" not in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "portfolio", "/nonexistent/inventory.csv")
         assert code == 1

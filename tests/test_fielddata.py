@@ -3,9 +3,12 @@ import math
 import pytest
 
 from canopy import (
+    DiameterModel,
     DomainError,
+    Measurement,
     ParseError,
     UnderdeterminedError,
+    UnknownSpeciesError,
     ValidationError,
     WoodType,
     default_breakpoints,
@@ -112,9 +115,26 @@ class TestLoadMeasurements:
 
     def test_parse_error_carries_row_number(self, tmp_path):
         path = tmp_path / "p.csv"
-        path.write_text("wood,height_cm,girth_cm\nevergreen,250,11\noak,300,12\n")
-        with pytest.raises(ParseError) as excinfo:
+        path.write_text("wood,height_cm,girth_cm\nevergreen,250,11\nOak,300,12\n")
+        with pytest.raises(UnknownSpeciesError, match="^row 2: 'oak' is not a valid WoodType$") as excinfo:
             load_measurements(path)
+        assert excinfo.value.row == 2
+
+    @pytest.mark.parametrize(
+        "cells,message",
+        [
+            ("nan,11,", "height must be positive and finite, got nan"),
+            ("250,inf,", "girth must be positive and finite, got inf"),
+            ("250,,-0.0", "diameter must be positive and finite, got -0.0"),
+            ("250,,1e400", "diameter must be positive and finite, got inf"),
+        ],
+    )
+    def test_record_check_names_its_row(self, tmp_path, cells, message):
+        path = tmp_path / "r.csv"
+        path.write_text(f"wood,height_cm,girth_cm,diameter_cm\nconifer,300,15,\nconifer,{cells}\n")
+        with pytest.raises(ValidationError) as excinfo:
+            load_measurements(path)
+        assert str(excinfo.value) == f"row 2: {message}"
         assert excinfo.value.row == 2
 
     def test_bad_number(self, tmp_path):
@@ -148,6 +168,36 @@ class TestLoadMeasurements:
         path.write_text("\ufeffwood,height_cm,girth_cm\nevergreen,250,11\n", encoding="utf-8")
         (measurement,) = load_measurements(path)
         assert (measurement.wood, measurement.height) == (WoodType.EVERGREEN, 250.0)
+
+
+class TestMeasurement:
+    def test_girth_fills_diameter_in(self):
+        measurement = Measurement("conifer", 300.0, girth=15.0)
+        assert measurement.wood is WoodType.CONIFER
+        assert measurement.diameter == 15.0 / 3.14
+        assert measurement == Measurement(WoodType.CONIFER, 300.0, 15.0, 15.0 / 3.14)
+
+    def test_both_given_keeps_diameter(self):
+        assert Measurement("conifer", 300.0, 15.0, 4.8).diameter == 4.8
+
+    @pytest.mark.parametrize("field", ["height", "girth", "diameter"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
+    def test_rejects_non_finite_or_nonpositive(self, field, bad):
+        values = {"height": 300.0, "girth": 15.0, "diameter": 4.8, field: bad}
+        with pytest.raises(ValidationError, match=f"^{field} must be positive and finite"):
+            Measurement("conifer", **values)
+
+    def test_needs_girth_or_diameter(self):
+        with pytest.raises(ValidationError, match="girth or a diameter"):
+            Measurement("conifer", 300.0)
+
+    @pytest.mark.parametrize("record", [Measurement, DiameterModel])
+    def test_unknown_wood_name(self, record):
+        segments = default_diameter_models()[WoodType.CONIFER].segments
+        args = (300.0, 15.0) if record is Measurement else (segments,)
+        assert record("conifer", *args).wood is WoodType.CONIFER
+        with pytest.raises(UnknownSpeciesError, match="^'Conifer' is not a valid WoodType$"):
+            record("Conifer", *args)
 
 
 class TestFit:
@@ -241,3 +291,5 @@ class TestFit:
         assert default_breakpoints(WoodType.EVERGREEN) == (250.0, 300.0)
         assert default_breakpoints("deciduous") == (300.0,)
         assert default_breakpoints("conifer") == (300.0,)
+        with pytest.raises(UnknownSpeciesError, match="^'oak' is not a valid WoodType$"):
+            default_breakpoints("oak")

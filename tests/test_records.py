@@ -106,10 +106,10 @@ CASES = {
     ),
     Measurement: (
         [("wood", EMPTY), ("height", EMPTY), ("girth", None), ("diameter", None)],
-        (WoodType.CONIFER, 300.0),
+        (WoodType.CONIFER, 300.0, None, 5.0),
         "Measurement(wood=<WoodType.CONIFER: 'conifer'>, height=300.0, girth=None, "
-        "diameter=None)",
-        ("diameter", 5.0),
+        "diameter=5.0)",
+        ("diameter", 6.0),
     ),
     FitResult: (
         [("model", EMPTY), ("per_segment_r2", EMPTY), ("residual_rms", EMPTY)],

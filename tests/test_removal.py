@@ -7,6 +7,7 @@ from canopy import (
     DomainError,
     RemovalModel,
     SizeClass,
+    UnknownSpeciesError,
     ValidationError,
     default_removal_model,
     derive_removal_probability,
@@ -122,6 +123,12 @@ class TestDefaults:
         assert default_removal_model(SizeClass.TALL).p == 0.027309
         assert default_removal_model(SizeClass.MEDIUM).p == 0.0256977
         assert default_removal_model(SizeClass.SHRUB).p == 0.0256977
+
+    def test_by_size_name(self):
+        assert default_removal_model("tall") == default_removal_model(SizeClass.TALL)
+        assert default_removal_model("shrub") == default_removal_model(SizeClass.SHRUB)
+        with pytest.raises(UnknownSpeciesError, match="^'huge' is not a valid SizeClass$"):
+            default_removal_model("huge")
 
     def test_probability_bounds(self):
         for bad in (0.0, 1.0, -0.1, 1.5):
