@@ -117,6 +117,11 @@ def default_carbon_constant() -> CarbonConstant:
     return carbon_constant(default_carbon_factors())
 
 
+def _cylinder(h: Numeric, d: Numeric, c: float) -> Numeric:
+    """Trunk-cylinder store ``H (d/2)^2 pi c``: the one stored-CO2 rule."""
+    return h * (0.5 * d) ** 2 * math.pi * c
+
+
 def stored_co2(
     spec: SpeciesSpec,
     model: DiameterModel,
@@ -126,8 +131,7 @@ def stored_co2(
     """CO2 stored in one standing tree at age ``t``:
     ``H(t) (d(t)/2)^2 pi c`` with the trunk taken as a cylinder."""
     h = growth.height(spec, t)
-    d = growth.diameter_from_height(model, h)
-    return h * (0.5 * d) ** 2 * math.pi * constant.c
+    return _cylinder(h, growth.diameter_from_height(model, h), constant.c)
 
 
 def segment_integrand(
@@ -136,31 +140,37 @@ def segment_integrand(
     removal: RemovalModel,
     constant: CarbonConstant,
 ) -> Callable[[Numeric], Numeric]:
-    """First-term integrand restricted to one integration piece.
+    """First-term integrand ``(1-p)^t p stored(t)`` on one integration piece.
 
     The piece's single affine diameter rule (and, on the cap, its
     constant height) is applied directly, so the integrand stays smooth
     across the whole piece even where floating-point height evaluation
-    would land a hair on the wrong side of a model boundary.
+    would land a hair on the wrong side of a model boundary.  Only growth
+    pieces are integrated with it; on a cap piece it checks the closed form.
     """
     rule = segment.diameter_segment
-    p = removal.p
-
-    if segment.on_cap:
-        h_cap = spec.cap_height
-        store = h_cap * (0.5 * rule.diameter(h_cap)) ** 2 * math.pi * constant.c
-
-        def f_cap(t: Numeric) -> Numeric:
-            return survival_fraction(removal, t) * p * store
-
-        return f_cap
 
     def f(t: Numeric) -> Numeric:
-        h = growth.uncapped_height(spec, t)
-        store = h * (0.5 * rule.diameter(h)) ** 2 * math.pi * constant.c
-        return survival_fraction(removal, t) * p * store
+        h = spec.cap_height if segment.on_cap else growth.uncapped_height(spec, t)
+        store = _cylinder(h, rule.diameter(h), constant.c)
+        return survival_fraction(removal, t) * removal.p * store
 
     return f
+
+
+def _absorbed(
+    spec: SpeciesSpec, piece: TimeSegment, removal: RemovalModel, constant: CarbonConstant
+) -> float:
+    """In-process absorption over one piece.  On the cap the store S is
+    constant, so the integral is exactly ``p S q^lo (1 - q^(hi - lo)) / -ln q``
+    with ``q = 1 - p``; only a growth-branch piece goes to the quadrature."""
+    if not piece.on_cap:
+        f = segment_integrand(spec, piece, removal, constant)
+        return integrate(f, piece.t_lo, piece.t_hi)
+    store = _cylinder(spec.cap_height, piece.diameter_segment.diameter(spec.cap_height), constant.c)
+    log_q = math.log1p(-removal.p)
+    span = -math.expm1((piece.t_hi - piece.t_lo) * log_q) / -log_q
+    return removal.p * store * survival_fraction(removal, piece.t_lo) * span
 
 
 def creditable_absorption(
@@ -224,35 +234,24 @@ def expected_absorption(
 ) -> AbsorptionReport:
     """Expected CO2 absorption of one planted tree over ``horizon`` years.
 
-    The in-process term is integrated piece by piece over
-    :func:`canopy.growth.integration_segments` (upper limit
-    ``horizon - 1``); the survivor term uses exponent ``horizon``.
+    The in-process term sums :func:`canopy.growth.integration_segments`
+    (upper limit ``horizon - 1``): cap pieces in closed form, growth-branch
+    pieces by :func:`canopy.quadrature.integrate`.  The survivor term uses
+    exponent ``horizon``.
 
     Raises:
         DomainError: If ``horizon`` is not finite or ``<= spec.domain_start``.
-        IntegrationError: If the quadrature cannot reach its tolerance.
+        IntegrationError: If the quadrature misses its tolerance on a growth piece.
     """
-    pieces = growth.integration_segments(spec, model, horizon)
     segments = tuple(
         SegmentAbsorption(
-            t_lo=piece.t_lo,
-            t_hi=piece.t_hi,
-            label=piece.label,
-            value=integrate(
-                segment_integrand(spec, piece, removal, constant),
-                piece.t_lo,
-                piece.t_hi,
-            ),
+            piece.t_lo, piece.t_hi, piece.label, _absorbed(spec, piece, removal, constant)
         )
-        for piece in pieces
+        for piece in growth.integration_segments(spec, model, horizon)
     )
     creditable = creditable_absorption(spec, model, removal, constant, horizon)
     total = math.fsum([s.value for s in segments] + [creditable])
     return AbsorptionReport(
-        spec=spec,
-        p=removal.p,
-        horizon=float(horizon),
-        segments=segments,
-        creditable=creditable,
-        expected_total=total,
+        spec=spec, p=removal.p, horizon=float(horizon), segments=segments,
+        creditable=creditable, expected_total=total,
     )

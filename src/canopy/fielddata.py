@@ -43,8 +43,9 @@ class Measurement(Record):
     An unknown name raises UnknownSpeciesError.  Each value given must be
     positive and finite, and a girth or a diameter must be (else
     ValidationError); a girth alone fills ``diameter`` in through
-    :func:`girth_to_diameter`.  Embedded reference rows carry both (girth
-    as surveyed, diameter as published).
+    :func:`girth_to_diameter`, whose result is checked the same way.
+    Embedded reference rows carry both (girth as surveyed, diameter as
+    published).
     """
 
     wood: WoodType
@@ -54,14 +55,14 @@ class Measurement(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "wood", _member(WoodType, self.wood))
+        if self.diameter is None and self.girth is not None and self.girth > 0.0:
+            object.__setattr__(self, "diameter", girth_to_diameter(self.girth))
         for name in ("height", "girth", "diameter"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
                 raise ValidationError(f"{name} must be positive and finite, got {value}")
         if self.diameter is None:
-            if self.girth is None:
-                raise ValidationError("measurement needs a girth or a diameter")
-            object.__setattr__(self, "diameter", girth_to_diameter(self.girth))
+            raise ValidationError("measurement needs a girth or a diameter")
 
 
 class FitResult(Record):

@@ -228,8 +228,9 @@ def test_criterion_5_carbon_constant():
 
 
 def test_criterion_6_quadrature_oracle(reports):
-    """Adaptive Simpson vs composite midpoint (n = 1e7) to 1e-8 relative
-    on every first-term integrand."""
+    """Each reported piece (adaptive Simpson on the growth branch, the
+    closed form on the cap) vs composite midpoint (n = 1e7) of its
+    first-term integrand, to 1e-8 relative."""
     failures = []
     for spec in all_species():
         removal = default_removal_model(spec.size)
@@ -247,7 +248,7 @@ def test_criterion_6_quadrature_oracle(reports):
             if rel_err(seg.value, reference) > 1e-8:
                 failures.append(
                     f"{spec.wood.value}/{spec.size.value} "
-                    f"[{piece.t_lo:.5f}, {piece.t_hi:.5f}]: simpson "
+                    f"[{piece.t_lo:.5f}, {piece.t_hi:.5f}]: reported "
                     f"{seg.value!r} vs midpoint {reference!r}"
                 )
         total_simpson = math.fsum(seg.value for seg in report.segments)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import canopy.carbon
 from canopy import (
     AbsorptionReport,
     CarbonConstant,
@@ -187,6 +188,30 @@ class TestExpectedAbsorption:
         ) * stored_co2(spec, models[spec.wood], constant, horizon)
         assert report.creditable == pytest.approx(weighted, rel=1e-12)
 
+    @pytest.mark.parametrize("horizon", [5.0, 100.0, 5000.0])
+    def test_cap_pieces_never_reach_the_quadrature(self, models, constant, monkeypatch, horizon):
+        # a cap piece's store is constant, so its integral is closed form:
+        # the quadrature sees exactly the growth-branch pieces
+        bounds = []
+        integrate = canopy.carbon.integrate
+
+        def spy(f, a, b):
+            bounds.append((a, b))
+            return integrate(f, a, b)
+
+        monkeypatch.setattr(canopy.carbon, "integrate", spy)
+        cap_pieces = 0
+        for continuous in (False, True):
+            for case in all_species():
+                spec = species(case.wood, case.size, continuous_cap=continuous)
+                bounds.clear()
+                removal = default_removal_model(spec.size)
+                expected_absorption(spec, models[spec.wood], removal, constant, horizon)
+                pieces = integration_segments(spec, models[spec.wood], horizon)
+                assert bounds == [(piece.t_lo, piece.t_hi) for piece in pieces if not piece.on_cap]
+                cap_pieces += sum(piece.on_cap for piece in pieces)
+        assert cap_pieces >= 6
+
     def test_tiny_p_total_collapses_to_creditable(self, models, constant):
         spec = species("evergreen", "tall")
         report = expected_absorption(
@@ -210,9 +235,11 @@ class TestExpectedAbsorption:
         model = models[spec.wood]
         base = expected_absorption(spec, model, removal, constant)
         doubled = expected_absorption(spec, model, removal, CarbonConstant(2.0 * constant.c))
-        # closed-form parts double bitwise; quadrature refinement decisions
-        # are not scale-free below abs_tol, so segments get 1e-12 slack
+        # closed-form parts (the survivor term and the cap piece) double
+        # bitwise; quadrature refinement decisions are not scale-free below
+        # abs_tol, so growth pieces get 1e-12 slack
         assert doubled.creditable == 2.0 * base.creditable
+        assert doubled.segments[-1].value == 2.0 * base.segments[-1].value
         for segment_double, segment_base in zip(doubled.segments, base.segments):
             assert segment_double.value == pytest.approx(
                 2.0 * segment_base.value, rel=1e-12

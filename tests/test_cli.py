@@ -309,6 +309,33 @@ class TestNonFiniteInput:
             _json_dumps({"net_credit": float("nan")})
 
 
+class TestLongestHorizon:
+    """The largest finite horizon is valid input."""
+
+    @pytest.mark.parametrize("fmt", _FORMATS)
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_capped_sizes_at_the_longest_horizon(self, capsys, tmp_path, command, fmt):
+        # a medium tree's or a shrub's last piece sits on the cap and runs
+        # out to 1e308 - 1 years; its closed form needs no quadrature
+        cohorts = [(wood, size) for wood in ("evergreen", "deciduous", "conifer")
+                   for size in ("medium", "shrub")]
+        inventory = tmp_path / "inventory.csv"
+        inventory.write_text("label,wood,size,count\n" + "".join(
+            f"{wood}-{size},{wood},{size},10\n" for wood, size in cohorts))
+        if command == "portfolio":
+            runs = [[str(inventory)]]
+        else:
+            runs = [["--wood", wood, "--size", size] for wood, size in cohorts]
+        for args in runs:
+            for cap in ([], ["--continuous-cap"]):
+                code, out, err = run(
+                    capsys, command, *args, *cap, "--horizon", "1e308", "--format", fmt
+                )
+                assert (code, err) == (0, ""), args
+                if fmt == "json":
+                    json.loads(out, parse_constant=_refuse_constant)
+
+
 class TestDeriveP:
     def test_golden(self, capsys):
         code, out, _ = run(

@@ -2,11 +2,13 @@
 underflows, and horizons just past the domain start.
 
 Every spec in both cap modes is checked against the Decimal closed forms
-of ``decimal_forms``: the survivor term, and each piece that sits on the
-cap, to 1e-12 relative (the worst seen are 3.0e-13 and 6.5e-14).  Where p
-is 1 - 1e-12 or the least subnormal, cap pieces fall to between 2e-44 and
-exactly 0, far below the quadrature's 1e-14 absolute tolerance, so only
-finiteness and the report invariants are checked there.
+of ``decimal_forms``.  The survivor term must come within 1e-12 relative
+(the worst seen is 3.0e-13).  Cap pieces are closed form in canopy too, so
+each must come within 1e-14 (the worst seen is 1.2e-15), and within 1e-13
+at p = 1 - 1e-12, where they fall to between 2e-199 and 4e-48 (the worst
+seen is 3.2e-16).  Where p is the least subnormal, p times the store
+underflows to a few subnormal ulps or exactly 0, so only finiteness and
+the report invariants are checked there.
 """
 
 import math
@@ -43,6 +45,8 @@ SPEC_IDS = [
 ]
 CHECKED_P = (1e-12, 0.027309, 0.06)
 EXTREME_P = (1.0 - 1e-12, 5e-324)
+# relative bound on cap pieces, by p
+CAP_REL = {**dict.fromkeys(CHECKED_P, Decimal("1e-14")), 1.0 - 1e-12: Decimal("1e-13")}
 START_OFFSETS = (1e-9, 0.5, 1.0, 1.001, 2.05)
 
 
@@ -59,17 +63,17 @@ def _check(spec, p, horizon):
     assert report.creditable <= report.expected_total
     total = math.fsum([s.value for s in report.segments] + [report.creditable])
     assert abs(total - report.expected_total) <= 1e-9 * report.expected_total
-    if p in EXTREME_P:
-        return report
-    exact = survivor_term(
-        spec.wood.value, spec.size.value, spec.continuous_cap, _rows(spec), p, C, horizon
-    )
-    assert abs(Decimal(report.creditable) - exact) <= REL * exact, (p, report.creditable)
-    pieces = integration_segments(spec, MODELS[spec.wood], horizon)
-    for piece, segment in zip(pieces, report.segments):
-        if piece.on_cap:
-            exact = cap_piece(spec.size.value, _rows(spec), p, C, piece.t_lo, piece.t_hi)
-            assert abs(Decimal(segment.value) - exact) <= REL * exact, (p, piece)
+    if p in CAP_REL:
+        pieces = integration_segments(spec, MODELS[spec.wood], horizon)
+        for piece, segment in zip(pieces, report.segments):
+            if piece.on_cap:
+                exact = cap_piece(spec.size.value, _rows(spec), p, C, piece.t_lo, piece.t_hi)
+                assert abs(Decimal(segment.value) - exact) <= CAP_REL[p] * exact, (p, piece)
+    if p in CHECKED_P:
+        exact = survivor_term(
+            spec.wood.value, spec.size.value, spec.continuous_cap, _rows(spec), p, C, horizon
+        )
+        assert abs(Decimal(report.creditable) - exact) <= REL * exact, (p, report.creditable)
     return report
 
 

@@ -127,6 +127,7 @@ class TestLoadMeasurements:
             ("250,inf,", "girth must be positive and finite, got inf"),
             ("250,,-0.0", "diameter must be positive and finite, got -0.0"),
             ("250,,1e400", "diameter must be positive and finite, got inf"),
+            ("250,5e-324,", "diameter must be positive and finite, got 0.0"),
         ],
     )
     def test_record_check_names_its_row(self, tmp_path, cells, message):
@@ -186,6 +187,12 @@ class TestMeasurement:
         values = {"height": 300.0, "girth": 15.0, "diameter": 4.8, field: bad}
         with pytest.raises(ValidationError, match=f"^{field} must be positive and finite"):
             Measurement("conifer", **values)
+
+    def test_girth_whose_diameter_underflows(self):
+        # 5e-324 passes the girth check, but 5e-324 / 3.14 rounds to 0.0
+        with pytest.raises(ValidationError, match="^diameter must be positive and finite, got 0.0$"):
+            Measurement("conifer", 300.0, girth=5e-324)
+        assert Measurement("conifer", 300.0, girth=2e-323).diameter > 0.0
 
     def test_needs_girth_or_diameter(self):
         with pytest.raises(ValidationError, match="girth or a diameter"):
