@@ -16,7 +16,7 @@ horizon:
 The integral's upper limit is horizon - 1 while the survivor exponent is
 horizon; the two are deliberately not harmonized (the tabulated reference
 values require this exact form).  Conifers integrate from t = 1, losing
-[0, 1), for the same reason.
+[0, 1), for the same reason.  Where height is held the integral is closed form.
 """
 
 import math
@@ -26,7 +26,7 @@ from . import growth
 from .errors import Record, ValidationError, require_finite
 from .growth import DiameterModel, Numeric, SpeciesSpec, TimeSegment
 from .quadrature import integrate
-from .removal import RemovalModel, survival_fraction
+from .removal import RemovalModel, removed_fraction, survival_fraction
 
 __all__ = [
     "CarbonFactors",
@@ -142,16 +142,17 @@ def segment_integrand(
 ) -> Callable[[Numeric], Numeric]:
     """First-term integrand ``(1-p)^t p stored(t)`` on one integration piece.
 
-    The piece's single affine diameter rule (and, on the cap, its
-    constant height) is applied directly, so the integrand stays smooth
+    The piece's single affine diameter rule (and, where height is held,
+    its constant height) is applied directly, so the integrand stays smooth
     across the whole piece even where floating-point height evaluation
     would land a hair on the wrong side of a model boundary.  Only growth
-    pieces are integrated with it; on a cap piece it checks the closed form.
+    pieces are integrated with it; on a held piece it checks the closed form.
     """
     rule = segment.diameter_segment
+    held = growth.height(spec, segment.t_hi)  # the height throughout a held piece
 
     def f(t: Numeric) -> Numeric:
-        h = spec.cap_height if segment.on_cap else growth.uncapped_height(spec, t)
+        h = held if segment.on_cap else growth.uncapped_height(spec, t)
         store = _cylinder(h, rule.diameter(h), constant.c)
         return survival_fraction(removal, t) * removal.p * store
 
@@ -161,15 +162,15 @@ def segment_integrand(
 def _absorbed(
     spec: SpeciesSpec, piece: TimeSegment, removal: RemovalModel, constant: CarbonConstant
 ) -> float:
-    """In-process absorption over one piece.  On the cap the store S is
-    constant, so the integral is exactly ``p S q^lo (1 - q^(hi - lo)) / -ln q``
+    """In-process absorption over one piece.  Where height is held the store S
+    is constant, so the integral is exactly ``p S q^lo (1 - q^(hi - lo)) / -ln q``
     with ``q = 1 - p``; only a growth-branch piece goes to the quadrature."""
     if not piece.on_cap:
         f = segment_integrand(spec, piece, removal, constant)
         return integrate(f, piece.t_lo, piece.t_hi)
-    store = _cylinder(spec.cap_height, piece.diameter_segment.diameter(spec.cap_height), constant.c)
-    log_q = math.log1p(-removal.p)
-    span = -math.expm1((piece.t_hi - piece.t_lo) * log_q) / -log_q
+    held = growth.height(spec, piece.t_hi)
+    store = _cylinder(held, piece.diameter_segment.diameter(held), constant.c)
+    span = removed_fraction(removal, piece.t_hi - piece.t_lo) / -removal.log_q
     return removal.p * store * survival_fraction(removal, piece.t_lo) * span
 
 
@@ -235,7 +236,7 @@ def expected_absorption(
     """Expected CO2 absorption of one planted tree over ``horizon`` years.
 
     The in-process term sums :func:`canopy.growth.integration_segments`
-    (upper limit ``horizon - 1``): cap pieces in closed form, growth-branch
+    (upper limit ``horizon - 1``): held pieces in closed form, growth-branch
     pieces by :func:`canopy.quadrature.integrate`.  The survivor term uses
     exponent ``horizon``.
 

@@ -55,6 +55,7 @@ from .removal import (
     RemovalModel,
     derive_removal_probability,
     expected_lifespan,
+    removed_fraction,
     survival_fraction,
 )
 
@@ -318,7 +319,7 @@ def _cmd_derive_p(args: argparse.Namespace, settings: dict) -> None:
         "assumed_lifespan_years": census.assumed_lifespan,
         "census_horizon_years": census.horizon,
         "storm_felled": census.storm_felled,
-        "removal_fraction": 1.0 - survival_fraction(model, census.horizon),
+        "removal_fraction": removed_fraction(model, census.horizon),
         "p": model.p,
         "expected_lifespan_years": expected_lifespan(model),
     }

@@ -50,14 +50,11 @@ class UnknownSpeciesError(CanopyError, ValueError):
     """A wood type or size class name is not one of the known values."""
 
 
-def anywhere(mask) -> bool:
-    """Truth of a comparison made on a float or on an ndarray.
-
-    A float comparison gives a ``bool``, taken as it is; an ndarray (or a
-    numpy scalar) gives a boolean array, true here if any element is.  One
-    domain check thereby serves scalar and vectorized callers alike.
-    """
-    return mask if mask.__class__ is bool else bool(mask.any())
+def everywhere(mask) -> bool:
+    """Truth of a comparison made on a float (a ``bool``, taken as it is) or
+    on an ndarray or numpy scalar (true if every element is).  A check of the
+    valid condition, which nan fails, serves both and rejects nan in both."""
+    return mask if mask.__class__ is bool else bool(mask.all())
 
 
 def require_finite(owner: str, **values: float) -> None:

@@ -75,8 +75,8 @@ class FitResult(Record):
 
 def girth_to_diameter(girth: float) -> float:
     """Trunk diameter from circumference, using the tables' pi of 3.14."""
-    if girth <= 0.0:
-        raise DomainError("girth must be positive")
+    if not girth > 0.0:
+        raise DomainError(f"girth must be positive, got {girth}")
     return girth / GIRTH_PI
 
 

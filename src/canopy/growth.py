@@ -1,13 +1,13 @@
 """Growth curves and trunk-diameter models for the nine urban-tree cases.
 
 Height H(t) (cm, t in years since planting) follows one curve per wood
-type; shrubs of every wood type share a single linear curve.  Tall trees
-grow along the bare curve, while medium trees and shrubs stop growing at a
-fixed cap (850 cm from 16.412 y, 400 cm from 3.72093 y).  The cap is
-applied from the cap age onward for every wood type, so deciduous and
-conifer medium heights drop onto 850 cm at the cap age even though their
-curves sit above it there; ``SpeciesSpec.continuous_cap`` selects the
-min-based alternative.
+type; shrubs of every wood type share a single linear curve.  Height is
+held from one age on: medium trees and shrubs stop at a fixed cap (850 cm
+from 16.412 y, 400 cm from 3.72093 y), tall trees at the curve's supremum,
+which the float curve reaches at a finite age.  The cap is applied from
+the cap age onward for every wood type, so deciduous and conifer medium
+heights drop onto 850 cm at the cap age even though their curves sit above
+it there; ``SpeciesSpec.continuous_cap`` selects the min-based alternative.
 
 Trunk diameter d (cm) is piecewise linear in height.  Segments are
 half-open ``[h_lo, h_hi)`` with the last segment closed above, i.e. the
@@ -16,10 +16,11 @@ upper segment owns each boundary height.
 
 import math
 from enum import Enum
+from functools import cache
 from typing import Union
 
 from .errors import (
-    DomainError, RangeError, Record, UnknownSpeciesError, ValidationError, anywhere, require_finite,
+    DomainError, RangeError, Record, UnknownSpeciesError, ValidationError, everywhere, require_finite,
 )
 
 __all__ = [
@@ -265,9 +266,12 @@ def default_diameter_models() -> dict[WoodType, DiameterModel]:
 
 
 def _namespace(t: Numeric):
-    """``math`` for a float; for an array, its own Array API namespace
-    (numpy's module for an ndarray, which the caller has already imported)."""
-    return t.__array_namespace__() if hasattr(t, "__array_namespace__") else math
+    """``math`` for a float (tested first: a failed ``hasattr`` is slow); for
+    an array, its own Array API namespace (numpy's module for an ndarray,
+    which the caller has already imported)."""
+    if t.__class__ is float or not hasattr(t, "__array_namespace__"):
+        return math
+    return t.__array_namespace__()
 
 
 # The curves take 1 - b^t as -expm1(t ln b): the difference form cancels
@@ -289,7 +293,7 @@ def _growth_curve(spec: SpeciesSpec, t: Numeric) -> Numeric:
 
 
 def _curve_sup_height(spec: SpeciesSpec) -> float:
-    """Supremum of the bare growth branch (not attained)."""
+    """Supremum of the bare growth branch; every bounded float curve reaches it."""
     if spec.size is SizeClass.SHRUB:
         return math.inf
     if spec.wood is WoodType.CONIFER:
@@ -304,7 +308,7 @@ def uncapped_height(spec: SpeciesSpec, t: Numeric) -> Numeric:
     piece whose upper endpoint is the cap age, the integrand must follow
     the curve all the way to the endpoint, not the capped value.
     """
-    if anywhere(t < spec.domain_start):
+    if not everywhere(t >= spec.domain_start):
         raise DomainError(
             f"t must be >= {spec.domain_start} for {spec.wood.value} "
             f"{spec.size.value}"
@@ -326,6 +330,7 @@ def height(spec: SpeciesSpec, t: Numeric) -> Numeric:
     and the bare curve before that; the pre-cap branch is not clamped even
     where it exceeds the cap height.  With ``spec.continuous_cap`` the cap
     holds once the curve reaches it, giving ``min(curve, cap_height)``.
+    Tall trees hold the supremum from the first float age the curve hits it.
 
     Args:
         spec: Species case to evaluate.
@@ -340,14 +345,12 @@ def height(spec: SpeciesSpec, t: Numeric) -> Numeric:
             ``1 - e^(-0.00592 (t-1))`` turns negative).
     """
     curve = uncapped_height(spec, t)
-    cap_t = _cap_boundary(spec)
-    if cap_t is None:
-        return curve
-    on_cap = t >= cap_t
+    held = _curve_sup_height(spec) if spec.cap_height is None else spec.cap_height
+    on_cap = t >= _cap_boundary(spec)
     if on_cap.__class__ is bool or on_cap.ndim == 0:
-        return spec.cap_height if on_cap else curve
+        return held if on_cap else curve
     out = curve.copy()
-    out[on_cap] = spec.cap_height
+    out[on_cap] = held
     return out
 
 
@@ -366,8 +369,8 @@ def time_at_height(spec: SpeciesSpec, h: float) -> float:
             supremum).
     """
     h = float(h)
-    if h < 0.0:
-        raise DomainError("height must be nonnegative")
+    if not h >= 0.0:
+        raise DomainError(f"height must be nonnegative, got {h}")
     start_h = _growth_curve(spec, spec.domain_start)
     if h < start_h:
         raise RangeError(
@@ -394,7 +397,7 @@ def diameter_from_height(model: DiameterModel, h: Numeric) -> Numeric:
     above) and returns ``slope * h + intercept``.  ``h`` may be a float
     or a numpy ndarray.
     """
-    if anywhere((h < 0.0) | (h == math.inf) | (h != h)):
+    if not everywhere((h >= 0.0) & (h < math.inf)):
         raise DomainError("height must be finite and nonnegative")
     # each height lies in exactly one segment, so the masked sum adds
     # exact zeros to one value
@@ -408,9 +411,9 @@ class TimeSegment(Record, compare=("t_lo", "t_hi")):
     """One piece of the time axis with a fixed height/diameter rule.
 
     ``diameter_segment`` is the single affine rule active throughout the
-    piece and ``on_cap`` says whether height sits on the cap (constant)
-    or follows the growth branch.  Equality and hashing look at the
-    bounds only.
+    piece and ``on_cap`` says whether height is held constant (on a cap,
+    or at a tall tree's saturated height) or follows the growth branch.
+    Equality and hashing look at the bounds only.
     """
 
     t_lo: float
@@ -420,16 +423,18 @@ class TimeSegment(Record, compare=("t_lo", "t_hi")):
     on_cap: bool
 
 
-def _cap_boundary(spec: SpeciesSpec) -> float | None:
-    """Age from which height sits on the cap; ``None`` if it never does."""
-    if spec.cap_time is None:
-        return None
-    if not spec.continuous_cap:
-        return spec.cap_time
-    try:
-        return time_at_height(spec, spec.cap_height)
-    except RangeError:
-        return None  # curve never reaches the cap; no kink to split at
+@cache
+def _cap_boundary(spec: SpeciesSpec) -> float:
+    """Age from which height is held: the cap age (with a continuous cap,
+    where the curve meets the cap), or for a tall tree the first float age
+    at which the curve equals its supremum.  The float curve never
+    decreases, so bisection finds that age in about 60 evaluations."""
+    if spec.cap_time is not None:
+        return time_at_height(spec, spec.cap_height) if spec.continuous_cap else spec.cap_time
+    sup, below, at = _curve_sup_height(spec), spec.domain_start, 1e5  # at sup by 1e5 y
+    while (mid := 0.5 * (below + at)) not in (below, at):
+        below, at = (mid, at) if _growth_curve(spec, mid) < sup else (below, mid)
+    return at
 
 
 def _check_horizon(spec: SpeciesSpec, horizon: float) -> None:
@@ -448,10 +453,10 @@ def integration_segments(
     """Partition ``[domain_start, horizon - 1]`` into smooth pieces.
 
     Cuts are placed wherever H(t) crosses a diameter-segment boundary on
-    the growth branch, and at the cap age; each piece is labelled with
-    the active diameter rule and whether height follows the growth branch
-    or sits on the cap.  Crossing times are recomputed via
-    :func:`time_at_height`, not hard-coded.
+    the growth branch, and at the age from which height is held; each piece
+    is labelled with the active diameter rule and whether height follows the
+    growth branch, sits on the cap or is saturated.  Crossing times are
+    recomputed via :func:`time_at_height`, not hard-coded.
 
     Returns an empty tuple when ``horizon - 1 <= domain_start`` (no
     in-process interval to integrate).
@@ -464,7 +469,7 @@ def integration_segments(
     if upper <= spec.domain_start:
         return ()
     cap_t = _cap_boundary(spec)
-    growth_end = upper if cap_t is None else min(cap_t, upper)
+    growth_end = min(cap_t, upper)
 
     cuts: list[float] = []
     for seg in model.segments[1:]:
@@ -474,7 +479,7 @@ def integration_segments(
             continue
         if spec.domain_start + _BOUNDARY_EPS < t_cross < growth_end - _BOUNDARY_EPS:
             cuts.append(t_cross)
-    if cap_t is not None and spec.domain_start + _BOUNDARY_EPS < cap_t < upper - _BOUNDARY_EPS:
+    if spec.domain_start + _BOUNDARY_EPS < cap_t < upper - _BOUNDARY_EPS:
         cuts.append(cap_t)
 
     bounds = [spec.domain_start]
@@ -486,10 +491,11 @@ def integration_segments(
     pieces = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         mid = 0.5 * (lo + hi)
-        on_cap = cap_t is not None and mid >= cap_t
-        h_mid = spec.cap_height if on_cap else uncapped_height(spec, mid)
+        on_cap = mid >= cap_t
+        h_mid = height(spec, mid)
         seg = next(s for s in model.segments if s.covers(h_mid))
-        branch = "capped height" if on_cap else "growth branch"
+        held = "saturated height" if spec.cap_height is None else "capped height"
+        branch = held if on_cap else "growth branch"
         pieces.append(
             TimeSegment(
                 t_lo=lo,

@@ -3,19 +3,21 @@
 The removal probability p is backed out of census aggregates under a
 steady-state assumption: a constant standing stock, replanting at
 ``stock / assumed_lifespan`` per year, and a count of storm-felled trees
-over the census window.  Survival after t years is ``(1 - p)^t``.
+over the census window.  Survival after t years is ``(1 - p)^t``, taken as
+``exp(t log1p(-p))``: rounding ``1 - p`` first errs by up to t half-ulps.
 """
 
 import math
 
-from .errors import DomainError, Record, ValidationError, anywhere, require_finite
-from .growth import Numeric, SizeClass, _member
+from .errors import DomainError, Record, ValidationError, everywhere, require_finite
+from .growth import Numeric, SizeClass, _member, _namespace
 
 __all__ = [
     "RemovalModel",
     "CensusInput",
     "derive_removal_probability",
     "survival_fraction",
+    "removed_fraction",
     "expected_lifespan",
     "default_removal_model",
     "DEFAULT_P_TALL",
@@ -28,13 +30,15 @@ DEFAULT_P_MEDIUM_SHRUB = 0.0256977
 
 
 class RemovalModel(Record):
-    """Annual probability p that a standing tree is felled or falls."""
+    """Annual probability p that a standing tree is felled or falls.  ``log_q``,
+    the package's one ``log1p(-p)``, is derived and kept out of init, ==, hash, repr."""
 
     p: float
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValidationError(f"p must lie in (0, 1), got {self.p}")
+        object.__setattr__(self, "log_q", math.log1p(-self.p))
 
 
 class CensusInput(Record):
@@ -75,7 +79,7 @@ def derive_removal_probability(census: CensusInput) -> RemovalModel:
     planted and (together with ``storm_felled``) removed, so the removed
     fraction of everything that stood during the window is
     ``F = (planted + storm_felled) / (standing_stock + planted)`` and the
-    annual removal probability is ``p = 1 - (1 - F)^(1/horizon)``.
+    annual removal probability is ``p = 1 - (1 - F)^(1/horizon) = -expm1(log1p(-F) / horizon)``.
 
     Raises:
         DomainError: If the implied removals reach the whole population
@@ -93,7 +97,7 @@ def derive_removal_probability(census: CensusInput) -> RemovalModel:
         raise DomainError(
             f"removals exceed the standing population (F = {fraction:.4f})"
         )
-    p = 1.0 - (1.0 - fraction) ** (1.0 / census.horizon)
+    p = -math.expm1(math.log1p(-fraction) / census.horizon)
     # F < 1 keeps p below 1, but a tiny F over a long window rounds p to 0
     if p == 0.0:
         raise DomainError(
@@ -104,11 +108,19 @@ def derive_removal_probability(census: CensusInput) -> RemovalModel:
 
 
 def survival_fraction(model: RemovalModel, t: Numeric) -> Numeric:
-    """Probability ``(1 - p)^t`` that a tree still stands after t years;
-    ``t`` may be a float or a numpy ndarray."""
-    if anywhere(t < 0.0):
+    """Probability ``(1 - p)^t`` that a tree still stands after t years,
+    as ``exp(t ln(1 - p))``; ``t`` may be a float or a numpy ndarray."""
+    if not everywhere(t >= 0.0):
         raise DomainError("t must be nonnegative")
-    return (1.0 - model.p) ** t
+    return _namespace(t).exp(t * model.log_q)
+
+
+def removed_fraction(model: RemovalModel, t: Numeric) -> Numeric:
+    """Probability ``1 - (1 - p)^t`` that a tree is gone within t years, as
+    ``-expm1(t ln(1 - p))``, which does not cancel where it is small."""
+    if not everywhere(t >= 0.0):
+        raise DomainError("t must be nonnegative")
+    return -_namespace(t).expm1(t * model.log_q)
 
 
 def expected_lifespan(model: RemovalModel) -> float:
@@ -119,7 +131,7 @@ def expected_lifespan(model: RemovalModel) -> float:
         DomainError: If p is so small (below about 5.6e-309) that the
             lifespan passes the float range.
     """
-    lifespan = -1.0 / math.log1p(-model.p)
+    lifespan = -1.0 / model.log_q
     if lifespan == math.inf:
         raise DomainError(f"expected lifespan overflows for p = {model.p}")
     return lifespan

@@ -1,7 +1,8 @@
 """Exact references at 50 digits: the tests' Decimal closed forms.
 
 They restate the paper's formulas for the growth curves, the conifer
-inverse, the survivor term and the cap pieces.  Every float argument (p, a
+inverse, the survivor term, the held-height pieces and the census back-out
+of p.  Every float argument (p, a
 horizon, a piece bound, a diameter coefficient, the carbon constant)
 enters as its exact binary value, and the curve constants as the paper's
 decimal figures, so a difference from canopy is canopy's own rounding and
@@ -51,6 +52,13 @@ def _curve(wood: str, size: str, t: Decimal) -> Decimal:
     return _EXP_SCALE * (1 - (t * _EXP_BASE[wood].ln()).exp())
 
 
+def held_height(wood: str, size: str) -> Decimal:
+    """Height held from the cap age on, or a tall tree's curve supremum."""
+    if size in _CAPS:
+        return _CAPS[size][0]
+    return _CONIFER_OFFSET + _CONIFER_SCALE if wood == "conifer" else _EXP_SCALE
+
+
 def _height(wood: str, size: str, continuous_cap: bool, t: Decimal) -> Decimal:
     curve = _curve(wood, size, t)
     if size not in _CAPS:
@@ -80,9 +88,24 @@ def survivor_term(wood, size, continuous_cap, segments, p, c, horizon) -> Decima
 
 
 @_exact
-def cap_piece(size, segments, p, c, lo, hi) -> Decimal:
-    """Integral over [lo, hi] of (1 - p)^t p stored(cap): p S (q^hi - q^lo) / ln q."""
+def cap_piece(held, segments, p, c, lo, hi) -> Decimal:
+    """Integral over [lo, hi] of (1 - p)^t p stored(held), with the height
+    held at ``held`` cm: p S (q^hi - q^lo) / ln q."""
     log_q = (1 - Decimal(p)).ln()
-    store = _store(segments, c, _CAPS[size][0])
+    store = _store(segments, c, Decimal(held))
     span = (Decimal(hi) * log_q).exp() - (Decimal(lo) * log_q).exp()
     return Decimal(p) * store * span / log_q
+
+
+def removal_probability(fraction: float, horizon: float) -> Decimal:
+    """p = 1 - (1 - F)^(1/horizon), to ``DIGITS`` significant digits.
+
+    Worked at 800 digits: at 50, ``1 - F`` rounds to 1 for F below 1e-50,
+    while 800 keep every digit of any F down to 1e-300.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 800
+        p = 1 - ((1 - Decimal(fraction)).ln() / Decimal(horizon)).exp()
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        return +p

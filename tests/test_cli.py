@@ -310,15 +310,26 @@ class TestNonFiniteInput:
 
 
 class TestLongestHorizon:
-    """The largest finite horizon is valid input."""
+    """The largest finite horizon is valid input for all 18 specs."""
 
     @pytest.mark.parametrize("fmt", _FORMATS)
     @pytest.mark.parametrize("command", MODEL_COMMANDS)
     def test_capped_sizes_at_the_longest_horizon(self, capsys, tmp_path, command, fmt):
         # a medium tree's or a shrub's last piece sits on the cap and runs
         # out to 1e308 - 1 years; its closed form needs no quadrature
+        self._run(capsys, tmp_path, command, fmt, ("medium", "shrub"))
+
+    @pytest.mark.parametrize("fmt", _FORMATS)
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_tall_trees_at_the_longest_horizon(self, capsys, tmp_path, command, fmt):
+        # a tall tree's height saturates after at most 6,324 years; the
+        # piece from there to 1e308 - 1 is closed form like a cap piece
+        self._run(capsys, tmp_path, command, fmt, ("tall",))
+
+    @staticmethod
+    def _run(capsys, tmp_path, command, fmt, sizes):
         cohorts = [(wood, size) for wood in ("evergreen", "deciduous", "conifer")
-                   for size in ("medium", "shrub")]
+                   for size in sizes]
         inventory = tmp_path / "inventory.csv"
         inventory.write_text("label,wood,size,count\n" + "".join(
             f"{wood}-{size},{wood},{size},10\n" for wood, size in cohorts))

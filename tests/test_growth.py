@@ -28,6 +28,7 @@ from canopy.growth import (
     MEDIUM_CAP_HEIGHT_CM,
     MEDIUM_CAP_TIME_YEARS,
     SHRUB_CAP_TIME_YEARS,
+    _cap_boundary,
     uncapped_height,
 )
 
@@ -88,6 +89,27 @@ class TestHeight:
             hs = height(spec, ts)
             assert np.all(np.diff(hs) > 0.0)
             assert np.all(hs < bound)
+
+    @pytest.mark.parametrize(
+        "wood,t_sat,sup",
+        [
+            ("deciduous", 966.1628152220591, 2500.0),
+            ("evergreen", 1478.4039666255044, 2500.0),
+            ("conifer", 6323.626309161664, 35.0 + 5471.0),
+        ],
+    )
+    def test_tall_height_saturates_at_one_float_age(self, wood, t_sat, sup):
+        # the float curve reaches its supremum at t_sat and stays there, so
+        # a tall tree holds its height from t_sat like a cap from its age
+        spec = species(wood, "tall")
+        assert _cap_boundary(spec) == _cap_boundary(species(wood, "tall", continuous_cap=True)) == t_sat
+        before = math.nextafter(t_sat, 0.0)
+        assert height(spec, before) == uncapped_height(spec, before) < sup
+        assert height(spec, t_sat) == uncapped_height(spec, t_sat) == sup
+        ages = np.geomspace(t_sat, 1e308, 2001)
+        assert all(uncapped_height(spec, float(t)) == sup for t in ages)
+        held = height(spec, np.concatenate([[before], ages]))
+        assert held[0] < sup and np.all(held[1:] == sup)
 
     def test_medium_cap_continuity_evergreen_only(self):
         # evergreen reaches 850 at the cap age; the others drop onto it

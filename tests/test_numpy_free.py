@@ -19,9 +19,12 @@ from canopy import (
     default_removal_model,
     diameter_from_height,
     height,
+    girth_to_diameter,
     integration_segments,
+    removed_fraction,
     species,
     survival_fraction,
+    time_at_height,
     uncapped_height,
 )
 from canopy.carbon import segment_integrand
@@ -107,16 +110,26 @@ def test_domain_error_for_float_and_inside_array():
     conifer = species("conifer", "medium")
     removal = default_removal_model(conifer.size)
     model = default_diameter_models()[conifer.wood]
+    nan = float("nan")
     cases = [
         (lambda t: height(conifer, t), 0.5),
+        (lambda t: height(conifer, t), nan),
         (lambda t: uncapped_height(conifer, t), 0.5),
+        (lambda t: uncapped_height(conifer, t), nan),
         (lambda t: survival_fraction(removal, t), -1.0),
+        (lambda t: survival_fraction(removal, t), nan),
+        (lambda t: removed_fraction(removal, t), -1.0),
+        (lambda t: removed_fraction(removal, t), nan),
         (lambda h: diameter_from_height(model, h), -0.1),
         (lambda h: diameter_from_height(model, h), float("inf")),
-        (lambda h: diameter_from_height(model, h), float("nan")),
+        (lambda h: diameter_from_height(model, h), nan),
     ]
     for f, bad in cases:
         with pytest.raises(DomainError):
             f(bad)
         with pytest.raises(DomainError):
             f(np.array([2.0, bad, 3.0]))
+    # these two take a float only
+    for f in (lambda h: time_at_height(conifer, h), girth_to_diameter):
+        with pytest.raises(DomainError):
+            f(nan)

@@ -1,4 +1,6 @@
 import math
+import random
+from decimal import Decimal
 
 import pytest
 
@@ -15,6 +17,7 @@ from canopy import (
     survival_fraction,
 )
 
+from decimal_forms import removal_probability
 from reference_values import CENSUS_MEDIUM_SHRUB, CENSUS_TALL
 
 
@@ -40,9 +43,24 @@ class TestDerive:
             derive_removal_probability(CensusInput(1e308, 5e-324, 1e308))
 
     def test_p_underflowing_to_zero_names_the_census(self):
-        # F = 0.5 over a 1e308-year window gives (1 - F)^(1/window) == 1.0
+        # replanting 5e-324 / 1e308 per year underflows to 0, so F = 0 and
+        # p is 0 however it is computed
         with pytest.raises(DomainError, match="census removals are too few"):
-            derive_removal_probability(CensusInput(1.0, 1e308, 1e308))
+            derive_removal_probability(CensusInput(5e-324, 1e308, 1e308))
+
+    def test_p_matches_the_exact_back_out(self):
+        # F log-uniform in [1e-300, 0.99]: 1 - (1 - F)^(1/h) in floats
+        # cancels for small F, by up to 161% of p
+        rng = random.Random(16)
+        for _ in range(200):
+            target = 10.0 ** rng.uniform(-300.0, math.log10(0.99))
+            horizon = rng.uniform(1.0, 100.0)
+            census = CensusInput(1.0, horizon * (1.0 - target) / target, horizon)
+            planted = census.standing_stock / census.assumed_lifespan * census.horizon
+            fraction = planted / (census.standing_stock + planted)  # F as canopy forms it
+            exact = removal_probability(fraction, horizon)
+            p = derive_removal_probability(census).p
+            assert abs(Decimal(p) - exact) <= Decimal("1e-15") * exact, (fraction, horizon)
 
     def test_fraction_round_trip(self):
         census = CensusInput(*CENSUS_TALL[:4])
