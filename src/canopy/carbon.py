@@ -24,7 +24,7 @@ from typing import Callable
 
 from . import growth
 from .errors import Record, ValidationError, require_finite
-from .growth import DiameterModel, Numeric, SpeciesSpec, TimeSegment
+from .growth import DiameterModel, Numeric, SpeciesSpec, TimeSegment, _namespace
 from .quadrature import integrate
 from .removal import RemovalModel, removed_fraction, survival_fraction
 
@@ -51,10 +51,12 @@ class CarbonFactors(Record):
 
     Attributes:
         bef: Biomass Expansion Factor (dimensionless) scaling trunk
-            biomass to whole-aboveground biomass.
+            biomass to whole-aboveground biomass; below 10, several times
+            any inventory's value (about 1.2 to 3).
         rtsr: Root-to-Shoot Ratio (dimensionless); (1 + rtsr) extends
-            aboveground to whole-tree biomass.
-        bd: Bulk Density, tonnes dry matter per m3 of green volume.
+            aboveground to whole-tree biomass; below 5.
+        bd: Bulk Density, tonnes dry matter per m3 of green volume; below
+            2, as no dry matter is denser than wood substance (about 1.5).
         cf: Carbon Fraction, tonnes carbon per tonne dry matter.
     """
 
@@ -73,13 +75,15 @@ class CarbonFactors(Record):
             raise ValidationError("root-to-shoot ratio must be nonnegative")
         if self.cf > 1.0:
             raise ValidationError("carbon fraction cannot exceed 1")
-        if self.rtsr >= 5.0:
-            raise ValidationError(f"root-to-shoot ratio {self.rtsr} fails sanity bound")
+        for name, bound in (("bef", 10.0), ("rtsr", 5.0), ("bd", 2.0)):
+            if getattr(self, name) >= bound:
+                raise ValidationError(f"{name} {getattr(self, name)} fails sanity bound {bound}")
 
 
 class CarbonConstant(Record):
     """Tonnes of CO2 per cm3 of trunk cylinder; always derived from
-    :class:`CarbonFactors`, never hand-set in reports."""
+    :class:`CarbonFactors`, never hand-set in reports.  Below 1e-3, over the factor
+    bounds' 4.4e-4: a tree on the built-in models then stores under 1.4e5 t."""
 
     c: float
 
@@ -87,6 +91,8 @@ class CarbonConstant(Record):
         require_finite("carbon constant", c=self.c)
         if self.c <= 0.0:
             raise ValidationError("carbon constant must be positive")
+        if self.c >= 1e-3:
+            raise ValidationError(f"carbon constant {self.c} fails sanity bound 0.001")
 
 
 def default_carbon_factors() -> CarbonFactors:
@@ -147,14 +153,18 @@ def segment_integrand(
     across the whole piece even where floating-point height evaluation
     would land a hair on the wrong side of a model boundary.  Only growth
     pieces are integrated with it; on a held piece it checks the closed form.
+    The callable is defined on the piece (a float or an ndarray ``t`` in
+    ``[t_lo, t_hi]``) and checks no ``t``: the piece is checked once, here,
+    raising DomainError if it starts before ``spec.domain_start``.
     """
-    rule = segment.diameter_segment
+    growth.uncapped_height(spec, segment.t_lo)  # the piece's one domain check
+    diameter, p, log_q, c = segment.diameter_segment.diameter, removal.p, removal.log_q, constant.c
     held = growth.height(spec, segment.t_hi)  # the height throughout a held piece
+    curve = (lambda t: held) if segment.on_cap else spec.curve
 
     def f(t: Numeric) -> Numeric:
-        h = held if segment.on_cap else growth.uncapped_height(spec, t)
-        store = _cylinder(h, rule.diameter(h), constant.c)
-        return survival_fraction(removal, t) * removal.p * store
+        h = curve(t)
+        return _namespace(t).exp(t * log_q) * p * _cylinder(h, diameter(h), c)
 
     return f
 
@@ -166,8 +176,7 @@ def _absorbed(
     is constant, so the integral is exactly ``p S q^lo (1 - q^(hi - lo)) / -ln q``
     with ``q = 1 - p``; only a growth-branch piece goes to the quadrature."""
     if not piece.on_cap:
-        f = segment_integrand(spec, piece, removal, constant)
-        return integrate(f, piece.t_lo, piece.t_hi)
+        return integrate(segment_integrand(spec, piece, removal, constant), piece.t_lo, piece.t_hi)
     held = growth.height(spec, piece.t_hi)
     store = _cylinder(held, piece.diameter_segment.diameter(held), constant.c)
     span = removed_fraction(removal, piece.t_hi - piece.t_lo) / -removal.log_q

@@ -153,7 +153,8 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _num(value: float) -> str:
-    return f"{value:.6f}"
+    text = f"{value:.6f}"
+    return f"{value:.6g}" if value and not float(text) else text
 
 
 def _json_dumps(payload) -> str:
@@ -168,8 +169,8 @@ def _emit(
 
     JSON writes ``payload``.  CSV and table write ``rows`` under
     ``header``, the table followed by ``footer``; without a header, the
-    payload is one CSV row or a key/value table.  Floats print with six
-    decimals outside JSON.
+    payload is one CSV row or a key/value table.  Outside JSON, floats print with
+    six decimals, or six significant digits if six decimals would hide a nonzero value.
     """
     if settings["format"] == "json":
         text = _json_dumps(payload)

@@ -84,10 +84,6 @@ CONIFER_DOMAIN_START_YEARS = 1.0
 
 SHRUB_GROWTH_CM_PER_YEAR = 107.5
 _EXP_SCALE_CM = 2500.0
-_EXP_LOG_BASE = {
-    WoodType.EVERGREEN: math.log(0.975),
-    WoodType.DECIDUOUS: math.log(0.962),
-}
 _CONIFER_OFFSET_CM = 35.0
 _CONIFER_SCALE_CM = 5471.0
 _CONIFER_RATE = 0.00592
@@ -99,6 +95,46 @@ _CAP_BY_SIZE = {
     SizeClass.TALL: (None, None),
     SizeClass.MEDIUM: (MEDIUM_CAP_HEIGHT_CM, MEDIUM_CAP_TIME_YEARS),
     SizeClass.SHRUB: (SHRUB_CAP_HEIGHT_CM, SHRUB_CAP_TIME_YEARS),
+}
+
+
+def _namespace(t: Numeric):
+    """``math`` for a float (tested first: a failed ``hasattr`` is slow); for
+    an array, its own Array API namespace (numpy's module for an ndarray,
+    which the caller has already imported)."""
+    if t.__class__ is float or not hasattr(t, "__array_namespace__"):
+        return math
+    return t.__array_namespace__()
+
+
+# The curves take 1 - b^t as -expm1(t ln b): the difference form cancels
+# near planting, where it turns a last-place difference between two pow/exp
+# implementations (libm for floats, numpy for arrays) into ~5e-14 of the
+# integrand.
+def _exponential(base: float) -> tuple:
+    log_base = math.log(base)
+    return (lambda t: -_EXP_SCALE_CM * _namespace(t).expm1(log_base * t),
+            lambda h: math.log(1.0 - h / _EXP_SCALE_CM) / log_base, _EXP_SCALE_CM)
+
+
+def _conifer_curve(t: Numeric) -> Numeric:
+    decay = -_namespace(t).expm1(-_CONIFER_RATE * (t - 1.0))
+    return _CONIFER_OFFSET_CM + _CONIFER_SCALE_CM * decay**_CONIFER_SHAPE
+
+
+def _conifer_inverse(h: float) -> float:
+    frac = ((h - _CONIFER_OFFSET_CM) / _CONIFER_SCALE_CM) ** (1.0 / _CONIFER_SHAPE)
+    return 1.0 - math.log1p(-frac) / _CONIFER_RATE
+
+
+# The one choice of growth curve: (curve, inverse, supremum) per wood type, the
+# shrubs of every wood type on one line.  Every bounded float curve reaches its supremum.
+_CURVES = {
+    WoodType.EVERGREEN: _exponential(0.975),
+    WoodType.DECIDUOUS: _exponential(0.962),
+    WoodType.CONIFER: (_conifer_curve, _conifer_inverse, _CONIFER_OFFSET_CM + _CONIFER_SCALE_CM),
+    SizeClass.SHRUB: (lambda t: SHRUB_GROWTH_CM_PER_YEAR * t,
+                      lambda h: h / SHRUB_GROWTH_CM_PER_YEAR, math.inf),
 }
 
 
@@ -114,12 +150,14 @@ class SpeciesSpec(Record):
             reference tables are reproduced with ``False``.
 
     Derived from ``wood`` and ``size`` on construction, as plain
-    attributes (the integrand reads ``domain_start`` on every evaluation)
-    left out of ``__init__``, equality, hashing and ``repr``:
+    attributes left out of ``__init__``, equality, hashing and ``repr``:
         cap_height: Height held after the cap age (cm); ``None`` for tall.
         cap_time: Age at which growth stops (years); ``None`` for tall.
         domain_start: First valid age (1 for conifers, whose curve is
             undefined below t = 1; 0 otherwise).
+        curve, inverse, sup_height: The bare growth branch H(t) for a float
+            or ndarray ``t``, its inverse for a float height, both unchecked
+            (see :func:`uncapped_height`), and its supremum (``inf`` for shrubs).
     """
 
     wood: WoodType
@@ -129,11 +167,16 @@ class SpeciesSpec(Record):
     def __post_init__(self):
         object.__setattr__(self, "wood", _member(WoodType, self.wood))
         object.__setattr__(self, "size", _member(SizeClass, self.size))
-        cap_height, cap_time = _CAP_BY_SIZE[self.size]
+        family = SizeClass.SHRUB if self.size is SizeClass.SHRUB else self.wood
         start = CONIFER_DOMAIN_START_YEARS if self.wood is WoodType.CONIFER else 0.0
-        object.__setattr__(self, "cap_height", cap_height)
-        object.__setattr__(self, "cap_time", cap_time)
-        object.__setattr__(self, "domain_start", start)
+        for name, value in zip(
+            ("cap_height", "cap_time", "domain_start", "curve", "inverse", "sup_height"),
+            (*_CAP_BY_SIZE[self.size], start, *_CURVES[family]),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):  # the derived curves do not pickle; the fields rebuild them
+        return SpeciesSpec, (self.wood, self.size, self.continuous_cap)
 
 
 # all 18 specs, built once and found by members or by names (see _MEMBERS)
@@ -265,55 +308,12 @@ def default_diameter_models() -> dict[WoodType, DiameterModel]:
     }
 
 
-def _namespace(t: Numeric):
-    """``math`` for a float (tested first: a failed ``hasattr`` is slow); for
-    an array, its own Array API namespace (numpy's module for an ndarray,
-    which the caller has already imported)."""
-    if t.__class__ is float or not hasattr(t, "__array_namespace__"):
-        return math
-    return t.__array_namespace__()
-
-
-# The curves take 1 - b^t as -expm1(t ln b): the difference form cancels
-# near planting, where it turns a last-place difference between two pow/exp
-# implementations (libm for floats, numpy for arrays) into ~5e-14 of the
-# integrand.
-def _conifer_curve(t: Numeric) -> Numeric:
-    decay = -_namespace(t).expm1(-_CONIFER_RATE * (t - 1.0))
-    return _CONIFER_OFFSET_CM + _CONIFER_SCALE_CM * decay**_CONIFER_SHAPE
-
-
-def _growth_curve(spec: SpeciesSpec, t: Numeric) -> Numeric:
-    """Bare growth branch, ignoring the cap."""
-    if spec.size is SizeClass.SHRUB:
-        return SHRUB_GROWTH_CM_PER_YEAR * t
-    if spec.wood is WoodType.CONIFER:
-        return _conifer_curve(t)
-    return -_EXP_SCALE_CM * _namespace(t).expm1(_EXP_LOG_BASE[spec.wood] * t)
-
-
-def _curve_sup_height(spec: SpeciesSpec) -> float:
-    """Supremum of the bare growth branch; every bounded float curve reaches it."""
-    if spec.size is SizeClass.SHRUB:
-        return math.inf
-    if spec.wood is WoodType.CONIFER:
-        return _CONIFER_OFFSET_CM + _CONIFER_SCALE_CM
-    return _EXP_SCALE_CM
-
-
 def uncapped_height(spec: SpeciesSpec, t: Numeric) -> Numeric:
-    """Bare growth-branch height, ignoring any cap.
-
-    Used to place and evaluate integration pieces: on a growth-branch
-    piece whose upper endpoint is the cap age, the integrand must follow
-    the curve all the way to the endpoint, not the capped value.
-    """
+    """Bare growth-branch height ``spec.curve(t)``, ignoring any cap, for
+    ``t`` checked against ``spec.domain_start``."""
     if not everywhere(t >= spec.domain_start):
-        raise DomainError(
-            f"t must be >= {spec.domain_start} for {spec.wood.value} "
-            f"{spec.size.value}"
-        )
-    return _growth_curve(spec, t)
+        raise DomainError(f"t must be >= {spec.domain_start} for {spec.wood.value} {spec.size.value}")
+    return spec.curve(t)
 
 
 def height(spec: SpeciesSpec, t: Numeric) -> Numeric:
@@ -345,7 +345,7 @@ def height(spec: SpeciesSpec, t: Numeric) -> Numeric:
             ``1 - e^(-0.00592 (t-1))`` turns negative).
     """
     curve = uncapped_height(spec, t)
-    held = _curve_sup_height(spec) if spec.cap_height is None else spec.cap_height
+    held = spec.sup_height if spec.cap_height is None else spec.cap_height
     on_cap = t >= _cap_boundary(spec)
     if on_cap.__class__ is bool or on_cap.ndim == 0:
         return held if on_cap else curve
@@ -371,23 +371,13 @@ def time_at_height(spec: SpeciesSpec, h: float) -> float:
     h = float(h)
     if not h >= 0.0:
         raise DomainError(f"height must be nonnegative, got {h}")
-    start_h = _growth_curve(spec, spec.domain_start)
-    if h < start_h:
+    if h < (start_h := spec.curve(spec.domain_start)):
         raise RangeError(
-            f"height {h} cm is below the curve start ({start_h} cm at "
-            f"t = {spec.domain_start})"
+            f"height {h} cm is below the curve start ({start_h} cm at t = {spec.domain_start})"
         )
-    if h >= _curve_sup_height(spec):
-        raise RangeError(
-            f"height {h} cm is never reached (supremum "
-            f"{_curve_sup_height(spec)} cm)"
-        )
-    if spec.size is SizeClass.SHRUB:
-        return h / SHRUB_GROWTH_CM_PER_YEAR
-    if spec.wood is not WoodType.CONIFER:
-        return math.log(1.0 - h / _EXP_SCALE_CM) / _EXP_LOG_BASE[spec.wood]
-    frac = ((h - _CONIFER_OFFSET_CM) / _CONIFER_SCALE_CM) ** (1.0 / _CONIFER_SHAPE)
-    return 1.0 - math.log1p(-frac) / _CONIFER_RATE
+    if h >= spec.sup_height:
+        raise RangeError(f"height {h} cm is never reached (supremum {spec.sup_height} cm)")
+    return spec.inverse(h)
 
 
 def diameter_from_height(model: DiameterModel, h: Numeric) -> Numeric:
@@ -431,9 +421,9 @@ def _cap_boundary(spec: SpeciesSpec) -> float:
     decreases, so bisection finds that age in about 60 evaluations."""
     if spec.cap_time is not None:
         return time_at_height(spec, spec.cap_height) if spec.continuous_cap else spec.cap_time
-    sup, below, at = _curve_sup_height(spec), spec.domain_start, 1e5  # at sup by 1e5 y
+    sup, below, at = spec.sup_height, spec.domain_start, 1e5  # at sup by 1e5 y
     while (mid := 0.5 * (below + at)) not in (below, at):
-        below, at = (mid, at) if _growth_curve(spec, mid) < sup else (below, mid)
+        below, at = (mid, at) if spec.curve(mid) < sup else (below, mid)
     return at
 
 

@@ -10,7 +10,10 @@ from canopy import (
     DomainError,
     RemovalModel,
     SegmentAbsorption,
+    SizeClass,
+    TimeSegment,
     ValidationError,
+    WoodType,
     all_species,
     carbon_constant,
     creditable_absorption,
@@ -21,6 +24,7 @@ from canopy import (
     species,
     stored_co2,
     survival_fraction,
+    uncapped_height,
 )
 from canopy.carbon import segment_integrand
 
@@ -66,6 +70,26 @@ class TestCarbonConstant:
         with pytest.raises(ValidationError):
             CarbonConstant(0.0)
 
+    @pytest.mark.parametrize(
+        "factors,message",
+        [
+            ((10.0, 0.2, 0.4, 0.5), "bef 10.0 fails sanity bound 10.0"),
+            ((1.0, 5.0, 0.4, 0.5), "rtsr 5.0 fails sanity bound 5.0"),
+            ((1.0, 0.2, 2.0, 0.5), "bd 2.0 fails sanity bound 2.0"),
+        ],
+    )
+    def test_factor_upper_bounds(self, factors, message):
+        with pytest.raises(ValidationError, match=message):
+            CarbonFactors(*factors)
+
+    def test_largest_factors_stay_inside_constant_bound(self):
+        below = [math.nextafter(bound, 0.0) for bound in (10.0, 5.0, 2.0)]
+        factors = CarbonFactors(below[0], below[1], below[2], 1.0)
+        assert carbon_constant(factors).c == pytest.approx(4.4e-4, rel=1e-12)
+        assert CarbonConstant(math.nextafter(1e-3, 0.0)).c < 1e-3
+        with pytest.raises(ValidationError, match="carbon constant 0.001 fails sanity bound"):
+            CarbonConstant(1e-3)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["bef", "rtsr", "bd", "cf"])
     def test_factors_reject_non_finite(self, field, bad):
@@ -77,6 +101,44 @@ class TestCarbonConstant:
     def test_constant_rejects_non_finite(self, bad):
         with pytest.raises(ValidationError, match="finite"):
             CarbonConstant(bad)
+
+
+class TestSegmentIntegrand:
+    P_VALUES = (1e-12, 0.027309, 0.5)
+
+    @staticmethod
+    def _specs():
+        return [species(w, s, continuous_cap=c) for w in WoodType for s in SizeClass
+                for c in (False, True)]
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_growth_pieces_match_the_per_layer_expression_bitwise(self, models, constant, p):
+        removal = RemovalModel(p)
+        checked = 0
+        for spec in self._specs():
+            horizons = (2.05, 20.0, 100.0, 1000.0) + ((1.5,) if spec.domain_start == 0.0 else ())
+            for horizon in horizons:
+                for piece in integration_segments(spec, models[spec.wood], horizon):
+                    if piece.on_cap:
+                        continue
+                    f = segment_integrand(spec, piece, removal, constant)
+                    rule = piece.diameter_segment
+                    width = piece.t_hi - piece.t_lo
+                    for frac in (0.0, 1e-9, 0.1, 0.37, 0.5, 0.9, 1.0):
+                        t = piece.t_hi if frac == 1.0 else piece.t_lo + frac * width
+                        h = uncapped_height(spec, t)
+                        store = canopy.carbon._cylinder(h, rule.diameter(h), constant.c)
+                        want = survival_fraction(removal, t) * removal.p * store
+                        assert f(t) == want, (spec, horizon, piece.label, t)
+                        checked += 1
+        assert checked > 500
+
+    def test_piece_before_domain_start_raises_when_built(self, models, constant):
+        spec = species("conifer", "tall")
+        rule = models[spec.wood].segments[0]
+        piece = TimeSegment(0.5, 2.0, "hand-made", rule, False)
+        with pytest.raises(DomainError, match="t must be >= 1.0 for conifer tall"):
+            segment_integrand(spec, piece, default_removal_model(spec.size), constant)
 
 
 class TestStoredCo2:

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -7,7 +8,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from canopy.cli import _FORMATS, _SETTINGS, main
+from canopy.cli import _FORMATS, _SETTINGS, _num, main
 
 from reference_values import CONIFER_FIT_ORACLE
 
@@ -16,10 +17,11 @@ COMMANDS = ("estimate", "breakdown", "portfolio", "derive-p", "fit")
 MODEL_COMMANDS = ("estimate", "breakdown", "portfolio")
 # flag and config values that a settings check has to survive
 EXTREMES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e308)
-# carbon factors whose constant leaves the float range: (factors, message)
+# carbon factors past a sanity bound, or whose constant underflows: (factors, message)
 OUT_OF_RANGE_FACTORS = [
-    ({"bef": 1e308, "bd": 1e308}, "c must be finite, got inf"),
+    ({"bef": 1e308, "bd": 1e308}, "bef 1e+308 fails sanity bound 10.0"),
     ({"cf": 5e-324, "bef": 5e-324, "bd": 5e-324}, "carbon constant must be positive"),
+    ({"bd": 2.0}, "bd 2.0 fails sanity bound 2.0"),
 ]
 
 
@@ -211,13 +213,11 @@ class TestPortfolio:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_overflowing_credit_is_data_error(self, capsys, tmp_path, fmt):
+        # about 2.03 t a tree under the default constant: 1e308 trees overflow
         inventory = self.write_inventory(
-            tmp_path, "label,wood,size,count\nbig,evergreen,tall,100000000\n"
+            tmp_path, f"label,wood,size,count\nbig,evergreen,tall,{10**308}\n"
         )
-        code, out, err = run(
-            capsys, "portfolio", inventory, "--bef", "1e300", "--bd", "4e4",
-            "--format", fmt,
-        )
+        code, out, err = run(capsys, "portfolio", inventory, "--format", fmt)
         assert code == 1 and out == ""
         assert "float range" in err
 
@@ -385,6 +385,21 @@ class TestDeriveP:
         assert code == 2 and out == ""
         assert field in err
 
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_tiny_values_keep_six_significant_digits(self, capsys, fmt):
+        # p is 1.0e-12, which six decimals would print as 0.000000
+        code, out, _ = run(
+            capsys, "derive-p", "--stock", "1e6", "--lifespan", "1e12", "--horizon", "30",
+            "--format", fmt,
+        )
+        assert code == 0
+        if fmt == "csv":
+            values = dict(zip(*csv.reader(io.StringIO(out))))
+        else:
+            values = dict(line.split() for line in out.splitlines())
+        assert (values["p"], values["removal_fraction"]) == ("1e-12", "3e-11")
+        assert (values["storm_felled"], values["census_horizon_years"]) == ("0.000000", "30.000000")
+
     def test_overremoval_is_data_error(self, capsys):
         code, _, err = run(
             capsys, "derive-p", "--stock", "1000", "--lifespan", "35",
@@ -392,6 +407,18 @@ class TestDeriveP:
         )
         assert code == 1
         assert "exceed" in err
+
+
+@pytest.mark.parametrize(
+    "value,text",
+    [
+        (1e-12, "1e-12"), (-2.5e-9, "-2.5e-09"), (1.234567891e-7, "1.23457e-07"),
+        (5e-7, "5e-07"), (1e-6, "0.000001"), (-1e-6, "-0.000001"), (0.0, "0.000000"),
+        (-0.0, "-0.000000"), (2.0, "2.000000"), (math.inf, "inf"),
+    ],
+)
+def test_num_shows_nonzero_values_six_decimals_would_hide(value, text):
+    assert _num(value) == text
 
 
 class TestFit:

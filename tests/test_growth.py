@@ -1,5 +1,6 @@
 import inspect
 import math
+import pickle
 from decimal import Decimal
 
 import numpy as np
@@ -273,8 +274,14 @@ class TestSpecies:
         spec = SpeciesSpec(wood, size, continuous_cap)
         assert (spec.cap_height, spec.cap_time) == caps[size.value]
         assert spec.domain_start == (1.0 if wood is WoodType.CONIFER else 0.0)
+        sups = {"evergreen": 2500.0, "deciduous": 2500.0, "conifer": 5506.0}
+        assert spec.sup_height == (math.inf if size is SizeClass.SHRUB else sups[wood.value])
+        # the curve and its inverse undo each other
+        h = spec.curve(spec.domain_start + 2.5)
+        assert spec.inverse(h) == pytest.approx(spec.domain_start + 2.5, rel=1e-12)
         # instance attributes, set once, rather than properties
-        assert {"cap_height", "cap_time", "domain_start"} <= set(vars(spec))
+        derived = {"cap_height", "cap_time", "domain_start", "curve", "inverse", "sup_height"}
+        assert derived <= set(vars(spec))
         assert spec == species(wood.value, size.value, continuous_cap=continuous_cap)
         # equality and hashing see (wood, size, continuous_cap) alone
         every = {
@@ -327,6 +334,14 @@ class TestSpecies:
             height(built, 0.5)
         args = (models[WoodType.CONIFER], default_removal_model("tall"), constant)
         assert expected_absorption(built, *args) == expected_absorption(shared, *args)
+
+    def test_pickled_spec_is_rebuilt_from_its_fields(self, models, constant):
+        spec = species("conifer", "medium", continuous_cap=True)
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and vars(copy) == vars(spec)
+        args = (models[WoodType.CONIFER], default_removal_model("medium"), constant)
+        report = expected_absorption(spec, *args)
+        assert pickle.loads(pickle.dumps(report)) == report
 
     @pytest.mark.parametrize("wood,size", [("oak", "tall"), ("conifer", "huge")])
     def test_spec_rejects_unknown_names(self, wood, size):

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from canopy import (
-    CarbonFactors,
     CreditMode,
     DomainError,
     ParseError,
@@ -12,7 +11,6 @@ from canopy import (
     UnknownSpeciesError,
     ValidationError,
     allocate_steward_share,
-    carbon_constant,
     evaluate_portfolio,
     load_inventory,
     species,
@@ -125,26 +123,24 @@ class TestEvaluate:
         report = evaluate_portfolio(cohorts, ProjectParams())
         assert [r.label for r in report.per_cohort] == ["z", "a"]
 
-    # a carbon constant near 1e299 puts one evergreen tall tree's credit
-    # near 1.2e305, so 1,000 trees stay just inside the float range
-    HUGE = carbon_constant(CarbonFactors(bef=1e300, rtsr=0.27, bd=4e4, cf=0.51))
+    # with the default constant one evergreen tall tree's credit is about
+    # 2.03 t, so 8e307 trees stay just inside the float range
+    NEAR_MAX = 8 * 10**307
 
     @pytest.mark.parametrize(
         "counts,steward_years",
-        [((10**8,), 0.0), ((1000, 1000), 0.0), ((1000,), 3.0)],
+        [((10**308,), 0.0), ((NEAR_MAX, NEAR_MAX), 0.0), ((NEAR_MAX,), 3.0)],
         ids=["cohort-credit", "credit-sum", "steward-share"],
     )
     def test_credit_past_float_range_raises(self, counts, steward_years):
         cohorts = [PlantingCohort(species("evergreen", "tall"), n) for n in counts]
         params = ProjectParams(steward_years=steward_years)
         with pytest.raises(DomainError, match="float range"):
-            evaluate_portfolio(cohorts, params, constant=self.HUGE)
+            evaluate_portfolio(cohorts, params)
 
     def test_credit_just_inside_float_range_passes(self):
-        cohorts = [PlantingCohort(species("evergreen", "tall"), 1000)]
-        report = evaluate_portfolio(
-            cohorts, ProjectParams(steward_years=0.0), constant=self.HUGE
-        )
+        cohorts = [PlantingCohort(species("evergreen", "tall"), self.NEAR_MAX)]
+        report = evaluate_portfolio(cohorts, ProjectParams(steward_years=0.0))
         assert math.isfinite(report.gross_credit) and report.gross_credit > 1e308
 
     def test_zero_count_cohort(self):
