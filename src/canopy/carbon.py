@@ -23,7 +23,7 @@ import math
 from typing import Callable
 
 from . import growth
-from .errors import Record, ValidationError, require_finite
+from .errors import DomainError, Record, ValidationError, require_finite
 from .growth import DiameterModel, Numeric, SpeciesSpec, TimeSegment, _namespace
 from .quadrature import integrate
 from .removal import RemovalModel, removed_fraction, survival_fraction
@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 CO2_PER_CARBON = 44.0 / 12.0  # molar-mass ratio, t-C -> t-CO2
+# raised as a DomainError where a caller's diameter model squares a diameter
+# past the float range
+_OVERFLOW = "stored CO2 overflows the float range"
 
 
 class CarbonFactors(Record):
@@ -135,9 +138,17 @@ def stored_co2(
     t: Numeric,
 ) -> Numeric:
     """CO2 stored in one standing tree at age ``t``:
-    ``H(t) (d(t)/2)^2 pi c`` with the trunk taken as a cylinder."""
+    ``H(t) (d(t)/2)^2 pi c`` with the trunk taken as a cylinder.
+
+    Raises:
+        DomainError: If the store passes the float range (a caller's
+            diameter model can make it).
+    """
     h = growth.height(spec, t)
-    return _cylinder(h, growth.diameter_from_height(model, h), constant.c)
+    try:
+        return _cylinder(h, growth.diameter_from_height(model, h), constant.c)
+    except OverflowError:
+        raise DomainError(_OVERFLOW) from None
 
 
 def segment_integrand(
@@ -191,7 +202,12 @@ def creditable_absorption(
     horizon: float = 100.0,
 ) -> float:
     """Survivor term ``(1-p)^horizon * stored(horizon)``: the CO2 in trees
-    still standing at the horizon, the proposed credit basis."""
+    still standing at the horizon, the proposed credit basis.
+
+    Raises:
+        DomainError: If ``horizon`` is out of the spec's domain, or the
+            store passes the float range (see :func:`stored_co2`).
+    """
     growth._check_horizon(spec, horizon)
     weight = survival_fraction(removal, float(horizon))
     return weight * stored_co2(spec, model, constant, float(horizon))
@@ -250,17 +266,22 @@ def expected_absorption(
     exponent ``horizon``.
 
     Raises:
-        DomainError: If ``horizon`` is not finite or ``<= spec.domain_start``.
+        DomainError: If ``horizon`` is not finite or ``<= spec.domain_start``,
+            or a store passes the float range (see :func:`stored_co2`).
         IntegrationError: If the quadrature misses its tolerance on a growth piece.
     """
-    segments = tuple(
-        SegmentAbsorption(
-            piece.t_lo, piece.t_hi, piece.label, _absorbed(spec, piece, removal, constant)
+    # caught here, not in the integrand, which the quadrature calls per node
+    try:
+        segments = tuple(
+            SegmentAbsorption(
+                piece.t_lo, piece.t_hi, piece.label, _absorbed(spec, piece, removal, constant)
+            )
+            for piece in growth.integration_segments(spec, model, horizon)
         )
-        for piece in growth.integration_segments(spec, model, horizon)
-    )
-    creditable = creditable_absorption(spec, model, removal, constant, horizon)
-    total = math.fsum([s.value for s in segments] + [creditable])
+        creditable = creditable_absorption(spec, model, removal, constant, horizon)
+        total = math.fsum([s.value for s in segments] + [creditable])
+    except OverflowError:
+        raise DomainError(_OVERFLOW) from None
     return AbsorptionReport(
         spec=spec, p=removal.p, horizon=float(horizon), segments=segments,
         creditable=creditable, expected_total=total,

@@ -331,23 +331,19 @@ def _cmd_fit(args: argparse.Namespace, settings: dict) -> None:
     if (args.measurements is None) == (args.reference is None):
         raise _UsageError("give either a measurements file or --reference")
     if args.reference is not None:
+        if args.wood is not None:
+            raise _UsageError("--wood selects rows of a measurements file, not of --reference")
         wood = WoodType(args.reference)
         rows = reference_tables()[wood]
     else:
-        measurements = load_measurements(args.measurements)
-        woods = {m.wood for m in measurements}
-        if args.wood is not None:
-            wood = WoodType(args.wood)
-            rows = tuple(m for m in measurements if m.wood is wood)
-            if not rows:
-                raise _UsageError(f"no {wood.value} rows in {args.measurements}")
-        elif not measurements:
-            raise _UsageError(f"no measurement rows in {args.measurements}")
-        elif len(woods) == 1:
-            wood = next(iter(woods))
-            rows = tuple(measurements)
-        else:
+        rows = load_measurements(args.measurements, args.wood)
+        if not rows:
+            kind = "measurement" if args.wood is None else args.wood
+            raise _UsageError(f"no {kind} rows in {args.measurements}")
+        woods = {m.wood for m in rows}
+        if len(woods) > 1:
             raise _UsageError("file mixes wood types; pick one with --wood")
+        (wood,) = woods
     breakpoints = (
         tuple(args.breakpoints)
         if args.breakpoints is not None

@@ -84,11 +84,12 @@ class Record:
         mine = ", ".join(f"self.{n}" for n in compare or names)
         theirs = mine.replace("self.", "other.")
         post = "self.__post_init__()" if hasattr(cls, "__post_init__") else ""
-        # compiled once per class, so a call costs what hand-written code would
-        namespace = {"_set": object.__setattr__, "_cls": cls, "__name__": cls.__module__}
+        # compiled once per class, so a call costs what hand-written code would;
+        # the fields go straight into the instance dict, past __setattr__
+        namespace = {"_cls": cls, "__name__": cls.__module__}
         exec(
-            f"def __init__(self, {params}):\n"
-            + "".join(f" _set(self, {n!r}, {n})\n" for n in names)
+            f"def __init__(self, {params}):\n fields = self.__dict__\n"
+            + "".join(f" fields[{n!r}] = {n}\n" for n in names)
             + f" {post}\ndef __eq__(self, other):\n"
             " if other.__class__ is not self.__class__: return NotImplemented\n"
             f" return ({mine},) == ({theirs},)\n"

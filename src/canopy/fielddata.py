@@ -8,6 +8,9 @@ coefficients by per-segment ordinary least squares.
 
 import csv
 import math
+from functools import partial
+from itertools import compress, islice, repeat
+from operator import add, is_, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -19,7 +22,7 @@ from .errors import (
     UnderdeterminedError,
     ValidationError,
 )
-from .growth import DiameterModel, DiameterSegment, WoodType, _member, default_diameter_models
+from .growth import _MEMBERS, DiameterModel, DiameterSegment, WoodType, _member, default_diameter_models
 
 __all__ = [
     "GIRTH_PI",
@@ -87,21 +90,31 @@ def default_breakpoints(wood: WoodType | str) -> tuple[float, ...]:
     return tuple(seg.h_lo for seg in segments[1:])
 
 
+# data rows read and checked together: enough that a chunk's per-row work
+# runs in C, in its column checks, rather than in a Python loop
+_CHUNK_ROWS = 4096
+
+
 def _read_table(
     path: str | Path,
-    make: Callable[..., Record],
+    parse: Callable[..., list | None],
+    make: Callable[..., Record | None],
     required: Sequence[str],
     optional: Sequence[str] = (),
 ) -> list:
-    """The records that ``make`` builds from the data rows of a CSV file
-    with a header row, read one row at a time.
+    """The records of the data rows of a CSV file with a header row, read
+    a chunk of ``_CHUNK_ROWS`` data rows at a time.
 
-    ``make`` gets a row's stripped cells for the ``required`` columns,
-    then the ``optional`` ones; an optional column missing from the header
-    or the row reads as "".  ``#``-prefixed and blank lines are skipped, a
-    leading byte-order mark is ignored, header names are stripped and
-    lower-cased, and a repeated name means its first column.  An empty
-    file has no rows.
+    ``parse`` gets a chunk's stripped cells as columns, one list for each
+    ``required`` column, then each ``optional`` one, and returns the
+    chunk's records, or None if a cell fails one of its checks.  A chunk
+    that ``parse`` refuses, or that has a short row, is read again one row
+    at a time: ``make`` gets a row's cells in the same order and returns
+    its record, or None to leave the row out, and raises the first bad
+    row's error.  An optional column missing from the header or the row
+    reads as "".  ``#``-prefixed and blank lines are skipped, a leading
+    byte-order mark is ignored, header names are stripped and lower-cased,
+    and a repeated name means its first column.  An empty file has no rows.
 
     Raises:
         ParseError: If the header lacks a ``required`` column or names
@@ -126,18 +139,37 @@ def _read_table(
         # an optional column the header lacks points one past its end
         positions = [header.index(n) if n in header else len(header) for n in (*required, *optional)]
         width = max(positions) + 1
-        records = []
-        for row_number, line in enumerate(lines, start=1):
-            try:
-                if len(line) < width:
-                    for name, pos in zip(required, positions):
-                        if pos >= len(line):
-                            raise ParseError(f"missing {name} value")
-                    line += [""] * (width - len(line))
-                records.append(make(*[line[pos].strip() for pos in positions]))
-            except CanopyError as exc:
-                exc.row, exc.args = row_number, (f"row {row_number}: {exc}",)
-                raise
+        records, first = [], 1
+        while chunk := list(islice(lines, _CHUNK_ROWS)):
+            shortest, longest = min(map(len, chunk)), max(map(len, chunk))
+            got = None
+            # read whole a column whose cell every row has, or (for an
+            # optional column alone) no row has
+            if all(pos < shortest for pos in positions[: len(required)]) and not any(
+                shortest <= pos < longest for pos in positions
+            ):
+                got = parse(*[
+                    list(map(str.strip, map(itemgetter(pos), chunk))) if pos < shortest
+                    else [""] * len(chunk)
+                    for pos in positions
+                ])
+            if got is None:
+                got = []
+                for row_number, line in enumerate(chunk, start=first):
+                    try:
+                        if len(line) < width:
+                            for name, pos in zip(required, positions):
+                                if pos >= len(line):
+                                    raise ParseError(f"missing {name} value")
+                            line += [""] * (width - len(line))
+                        record = make(*[line[pos].strip() for pos in positions])
+                    except CanopyError as exc:
+                        exc.row, exc.args = row_number, (f"row {row_number}: {exc}",)
+                        raise
+                    if record is not None:
+                        got.append(record)
+            records += got
+            first += len(chunk)
         return records
 
 
@@ -146,6 +178,12 @@ def _number(text: str, column: str, kind: type = float):
         return kind(text)
     except ValueError:
         raise ParseError(f"bad number {text!r} in column {column}") from None
+
+
+def _positive_finite(values: list[float]) -> bool:
+    """Whether every value is positive and finite: a sum of floats is
+    finite only if none is nan or infinite."""
+    return math.isfinite(sum(values)) and min(values, default=1.0) > 0.0
 
 
 def _measurement(wood: str, height: str, girth: str, diameter: str) -> Measurement:
@@ -157,24 +195,63 @@ def _measurement(wood: str, height: str, girth: str, diameter: str) -> Measureme
     return Measurement(wood.lower(), height_cm, None, _number(diameter, "diameter_cm"))
 
 
-def load_measurements(path: str | Path) -> list[Measurement]:
-    """Load measurements from a CSV file.
+def _measurements(
+    keep: WoodType | None, wood: list, height: list, girth: list, diameter: list
+) -> list[Measurement] | None:
+    """A chunk's measurements of wood ``keep`` (all, if None), or None if a
+    row of any wood would fail :func:`_measurement`."""
+    given = list(map(bool, girth))
+    # each row gives exactly one of girth and diameter, so g + d is that one
+    if any(map(is_, given, map(bool, diameter))):
+        return None
+    try:
+        woods = list(map(_MEMBERS[WoodType].__getitem__, map(str.lower, wood)))
+        heights = list(map(float, height))
+        sizes = list(map(float, map(add, girth, diameter)))
+    except (KeyError, ValueError):
+        return None
+    # a girth so small that its diameter rounds to 0 fails as well
+    girths = list(compress(sizes, given))
+    if not (_positive_finite(heights) and _positive_finite(sizes)
+            and min(girths, default=GIRTH_PI) / GIRTH_PI > 0.0):
+        return None
+    rows = zip(woods, heights, sizes, given)
+    if keep is not None:
+        rows = compress(rows, map(is_, woods, repeat(keep)))
+    return [
+        Measurement(w, h, size) if is_girth else Measurement(w, h, None, size)
+        for w, h, size, is_girth in rows
+    ]
+
+
+def load_measurements(path: str | Path, wood: WoodType | str | None = None) -> list[Measurement]:
+    """Load measurements from a CSV file: every row is checked, and the
+    rows of ``wood`` (a wood type or its name; every row, if None) are
+    returned.
 
     Expected header: ``wood,height_cm,girth_cm,diameter_cm`` (the two
     trailing columns may be reduced to whichever one the file uses).
     Wood names are case-insensitive; ``#``-prefixed lines and blank lines
     are skipped; exactly one of girth/diameter must be non-empty per row.
-    Each row becomes a :class:`Measurement`, which checks its values and
-    converts girth to diameter.  An empty file yields an empty list.
+    Each row returned is a :class:`Measurement`, which checks its values
+    and converts girth to diameter.  An empty file yields an empty list.
 
     Raises:
         ParseError: Malformed header, short row or unparseable number.
-        UnknownSpeciesError: Unknown wood name.
+        UnknownSpeciesError: Unknown wood name, in the file or as ``wood``.
         ValidationError: Non-finite or nonpositive values, or both or
             neither of girth/diameter present.
         Each with ``row N: `` and ``row`` set if a data row raised it.
     """
-    return _read_table(path, _measurement, ("wood", "height_cm"), ("girth_cm", "diameter_cm"))
+    keep = None if wood is None else _member(WoodType, wood)
+
+    def make(*cells: str) -> Measurement | None:
+        record = _measurement(*cells)
+        return record if keep is None or record.wood is keep else None
+
+    return _read_table(
+        path, partial(_measurements, keep), make, ("wood", "height_cm"), ("girth_cm", "diameter_cm")
+    )
 
 
 def _ols(points: Sequence[tuple[float, float]]) -> tuple[float, float, float, float]:

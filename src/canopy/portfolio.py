@@ -9,6 +9,7 @@ each cohort's credit to the greening business by its years of stewardship
 import math
 import sys
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -202,6 +203,20 @@ def _cohort(label: str, wood: str, size: str, count: str) -> PlantingCohort:
     return PlantingCohort(spec, _number(count, "count", int), label)
 
 
+def _cohorts(label: list, wood: list, size: list, count: list) -> list[PlantingCohort] | None:
+    """A chunk's cohorts, or None if a row would fail :func:`_cohort`."""
+    try:
+        # the spec table finds a spec by its names (see growth._SPECS)
+        keys = zip(map(str.lower, wood), map(str.lower, size), repeat(False))
+        specs = list(map(growth._SPECS.__getitem__, keys))
+        counts = list(map(int, count))
+    except (KeyError, ValueError):
+        return None
+    if not 0 <= min(counts) <= max(counts) <= sys.float_info.max:
+        return None
+    return list(map(PlantingCohort, specs, counts, label))
+
+
 def load_inventory(path: str | Path) -> list[PlantingCohort]:
     """Load planting cohorts from a CSV with header ``label,wood,size,count``.
 
@@ -214,4 +229,4 @@ def load_inventory(path: str | Path) -> list[PlantingCohort]:
         ValidationError: A count out of range (see :class:`PlantingCohort`).
         Each with ``row N: `` and ``row`` set if a data row raised it.
     """
-    return _read_table(path, _cohort, ("label", "wood", "size", "count"))
+    return _read_table(path, _cohorts, _cohort, ("label", "wood", "size", "count"))

@@ -9,6 +9,7 @@ its records or names its first bad row.
 
 import functools
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,7 +40,10 @@ from canopy import (
     load_measurements,
     species,
 )
+from canopy import fielddata
 from canopy.errors import Record
+from canopy.fielddata import _measurement
+from canopy.portfolio import _cohort
 
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 # the absorption functions integrate up to the horizon, so finite draws
@@ -166,7 +170,7 @@ def test_cohort_count(count):
 # range or past the float range, and empty cells
 CELLS = st.one_of(
     st.sampled_from(
-        ["", "nan", "inf", "-inf", "1e400", "9" * 400, "-0.0", "0", "-3", "12", "250.5",
+        ["", "nan", "inf", "-inf", "1e400", "5e-324", "9" * 400, "-0.0", "0", "-3", "12", "250.5",
          "x", "oak", "Conifer", "EVERGREEN", "deciduous", "tall", "Medium", "SHRUB", "huge"]
     ),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
@@ -210,3 +214,49 @@ def test_load_names_first_bad_row(kind, data, tmp_path_factory):
     else:
         assert isinstance(result, CanopyError)
         assert str(result).startswith(f"row {bad[0]}: ") and result.row == bad[0], result
+
+
+# each loader's row path: one row's cells made into its record alone
+ROW_MAKERS = {"inventory": _cohort, "measurements": _measurement}
+# cells that fail one check, or pass it at an edge, in an otherwise good row
+NEAR_CELLS = st.sampled_from(
+    ["", "nan", "inf", "-inf", "1e400", "5e-324", "2e-323", "9" * 400, "9" * 5000, "-3", "0",
+     "-0.0", "1.5", "Conifer", "EVERGREEN", "oak", "Medium", "tall"]
+)
+# lines that are not data rows: a comment, a blank line and a row of blank cells
+SKIPPED = st.sampled_from(["# survey note", "", " ,  "])
+
+
+@pytest.mark.parametrize("kind", list(TABLES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_chunks_agree_with_rows_alone(kind, data, tmp_path_factory):
+    """A file read three data rows at a time, column by column, loads as its
+    rows made one by one: the same records, or the first bad row's error."""
+    load, header, good = TABLES[kind]
+    # a good row with one drawn cell fails one check at a time
+    near = st.tuples(st.sampled_from(good), st.integers(0, 3), NEAR_CELLS).map(
+        lambda drawn: [*drawn[0][: drawn[1]], drawn[2], *drawn[0][drawn[1] + 1:]]
+    )
+    lines = data.draw(st.lists(st.sampled_from(good) | near | DRAWN_ROWS | SKIPPED, max_size=14))
+    wood = data.draw(st.sampled_from([None, *WoodType])) if kind == "measurements" else None
+    path = tmp_path_factory.getbasetemp() / f"chunked-{kind}.csv"
+    text = [line if isinstance(line, str) else ",".join(line) for line in lines]
+    path.write_text("\n".join([header, *text]) + "\n", encoding="utf-8")
+
+    expected = []
+    rows = [line for line in lines if not isinstance(line, str)]
+    for number, cells in enumerate(rows, start=1):
+        try:
+            record = ROW_MAKERS[kind](*cells)
+        except CanopyError as exc:
+            expected = (exc.__class__, f"row {number}: {exc}", number)
+            break
+        if wood is None or record.wood is wood:
+            expected.append(record)
+    with mock.patch.object(fielddata, "_CHUNK_ROWS", 3):
+        try:
+            got = load(path) if wood is None else load(path, wood)
+        except CanopyError as exc:
+            got = (exc.__class__, str(exc), exc.row)
+    assert got == expected

@@ -7,6 +7,8 @@ from canopy import (
     AbsorptionReport,
     CarbonConstant,
     CarbonFactors,
+    DiameterModel,
+    DiameterSegment,
     DomainError,
     RemovalModel,
     SegmentAbsorption,
@@ -160,6 +162,22 @@ class TestStoredCo2:
         assert value == pytest.approx(0.7594423029352575, rel=1e-12)
         weighted = survival_fraction(default_removal_model(spec.size), 100.0) * value
         assert weighted == pytest.approx(0.056216986, rel=1e-6)
+
+
+    @pytest.mark.parametrize("size", list(SizeClass))
+    def test_overflowing_store_is_domain_error(self, constant, size):
+        # a caller's model may square a diameter past the float range
+        spec = species("evergreen", size)
+        model = DiameterModel(None, (DiameterSegment(0.0, None, 1e200, 0.0),))
+        removal = default_removal_model(size)
+        calls = [
+            lambda: stored_co2(spec, model, constant, 50.0),
+            lambda: creditable_absorption(spec, model, removal, constant, 50.0),
+            lambda: expected_absorption(spec, model, removal, constant, 50.0),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="^stored CO2 overflows the float range$"):
+                call()
 
 
 class TestCreditable:

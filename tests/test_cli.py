@@ -482,6 +482,29 @@ class TestFit:
         assert code == 2
         assert "--wood" in err
 
+    @pytest.mark.parametrize("wood", ["evergreen", "conifer"])
+    def test_reference_takes_no_wood(self, capsys, wood):
+        code, out, err = run(capsys, "fit", "--reference", "conifer", "--wood", wood)
+        assert (code, out) == (2, "")
+        assert err == "canopy: error: --wood selects rows of a measurements file, not of --reference\n"
+
+    def test_bad_row_of_another_wood_fails(self, capsys, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "wood,height_cm,girth_cm\nconifer,250,13\nconifer,300,15\n"
+            "deciduous,-3,10\nconifer,350,19\n"
+        )
+        code, out, err = run(capsys, "fit", str(path), "--wood", "conifer")
+        assert (code, out) == (1, "")
+        assert err == "canopy: error: row 3: height must be positive and finite, got -3.0\n"
+
+    def test_wood_without_rows_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("wood,height_cm,girth_cm\nconifer,250,13\n")
+        code, out, err = run(capsys, "fit", str(path), "--wood", "evergreen")
+        assert (code, out) == (2, "")
+        assert err == f"canopy: error: no evergreen rows in {path}\n"
+
     @pytest.mark.parametrize("content", ["", "wood,height_cm,girth_cm\n"])
     def test_file_without_rows_is_usage_error(self, capsys, tmp_path, content):
         path = tmp_path / "m.csv"

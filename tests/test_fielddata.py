@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from canopy import fielddata, portfolio
 from canopy import (
+    CanopyError,
     DiameterModel,
     DomainError,
     Measurement,
@@ -15,6 +17,7 @@ from canopy import (
     default_diameter_models,
     fit_piecewise_linear,
     girth_to_diameter,
+    load_inventory,
     load_measurements,
     reference_tables,
 )
@@ -169,6 +172,115 @@ class TestLoadMeasurements:
         path.write_text("\ufeffwood,height_cm,girth_cm\nevergreen,250,11\n", encoding="utf-8")
         (measurement,) = load_measurements(path)
         assert (measurement.wood, measurement.height) == (WoodType.EVERGREEN, 250.0)
+
+
+class TestChunks:
+    """The reader hands the loaders chunks of rows; a chunk is checked
+    column by column, and read again row by row only where a cell fails."""
+
+    HEADER = "wood,height_cm,girth_cm,diameter_cm"
+    GOOD = ["conifer,300,15,", "evergreen,250,,3.5", "DECIDUOUS,500,32,"]
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        # four data rows a chunk
+        monkeypatch.setattr(fielddata, "_CHUNK_ROWS", 4)
+
+    @pytest.fixture
+    def row_reads(self, monkeypatch):
+        """Rows built one at a time by either loader's row path."""
+        reads = []
+        for module, name in ((fielddata, "_measurement"), (portfolio, "_cohort")):
+            make = getattr(module, name)
+
+            def spy(*cells, make=make):
+                reads.append(cells)
+                return make(*cells)
+
+            monkeypatch.setattr(module, name, spy)
+        return reads
+
+    def write(self, tmp_path, *lines, header=HEADER):
+        path = tmp_path / "chunks.csv"
+        path.write_text("\n".join([header, *lines]) + "\n")
+        return path
+
+    def whole(self, path, monkeypatch, **kwargs):
+        """The load as one chunk reads it."""
+        with monkeypatch.context() as patch:
+            patch.setattr(fielddata, "_CHUNK_ROWS", 4096)
+            return load_measurements(path, **kwargs)
+
+    def test_clean_chunks_build_no_row_alone(self, tmp_path, monkeypatch, row_reads):
+        path = self.write(tmp_path, *self.GOOD * 4)
+        rows = load_measurements(path)
+        assert rows == self.whole(path, monkeypatch) and len(rows) == 12
+        inventory = tmp_path / "inv.csv"
+        inventory.write_text("label,wood,size,count\n" + "a,Conifer,SHRUB,3\nb,evergreen,tall,0\n" * 5)
+        assert len(load_inventory(inventory)) == 10
+        assert row_reads == []
+
+    def test_bad_row_opening_second_chunk(self, tmp_path, row_reads):
+        path = self.write(tmp_path, *self.GOOD, self.GOOD[0], "conifer,-3,15,", *self.GOOD)
+        with pytest.raises(ValidationError) as excinfo:
+            load_measurements(path)
+        assert str(excinfo.value) == "row 5: height must be positive and finite, got -3.0"
+        assert excinfo.value.row == 5
+        # the first chunk passed its column checks
+        assert row_reads[0] == ("conifer", "-3", "15", "")
+
+    def test_comments_and_blanks_across_a_boundary(self, tmp_path, monkeypatch):
+        # rows 1-4, then rows 5-7
+        lines = [*self.GOOD, "# block end", "", self.GOOD[0], "  ", "# block start",
+                 self.GOOD[1], "", self.GOOD[2], "oak,300,15,"]
+        path = self.write(tmp_path, *lines)
+        with pytest.raises(UnknownSpeciesError, match="^row 7: 'oak' is not a valid WoodType$"):
+            load_measurements(path)
+        path = self.write(tmp_path, *lines[:-1])
+        rows = load_measurements(path)
+        assert rows == self.whole(path, monkeypatch) and len(rows) == 6
+
+    def test_short_row_in_a_later_chunk(self, tmp_path, monkeypatch, row_reads):
+        # a row without its trailing optional cells is read as ""
+        path = self.write(tmp_path, *self.GOOD * 3, "evergreen,250,11", *self.GOOD)
+        rows = load_measurements(path)
+        assert len(row_reads) == 4  # the short row's chunk alone
+        assert rows == self.whole(path, monkeypatch) and rows[9].girth == 11.0
+        evergreen = [m for m in rows if m.wood is WoodType.EVERGREEN]
+        assert load_measurements(path, "evergreen") == evergreen and len(evergreen) == 5
+        path = self.write(tmp_path, *self.GOOD * 3, "deciduous", *self.GOOD)
+        with pytest.raises(ParseError, match="^row 10: missing height_cm value$") as excinfo:
+            load_measurements(path)
+        assert excinfo.value.row == 10
+
+    def test_header_without_an_optional_column(self, tmp_path, monkeypatch, row_reads):
+        path = self.write(tmp_path, *["conifer,300,15", "evergreen,250,11"] * 5,
+                          header="wood,height_cm,girth_cm")
+        rows = load_measurements(path)
+        assert rows == self.whole(path, monkeypatch) and len(rows) == 10
+        assert row_reads == []
+
+    def test_row_longer_than_the_header_fills_its_missing_column(self, tmp_path):
+        # a cell past the header's end reads as the column the header lacks
+        path = self.write(tmp_path, "conifer,300,15", "conifer,300,,4.5",
+                          header="wood,height_cm,girth_cm")
+        assert [m.diameter for m in load_measurements(path)] == [15.0 / 3.14, 4.5]
+
+    def test_selected_wood(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path, *self.GOOD * 4)
+        every = self.whole(path, monkeypatch)
+        for wood in WoodType:
+            assert load_measurements(path, wood) == [m for m in every if m.wood is wood]
+            assert load_measurements(path, wood=wood.value) == load_measurements(path, wood)
+        with pytest.raises(UnknownSpeciesError, match="^'Conifer' is not a valid WoodType$"):
+            load_measurements(path, "Conifer")
+
+    @pytest.mark.parametrize("cells", ["evergreen,0,,3.5", "evergreen,250,11,3.5", "Oak,250,11,"])
+    def test_bad_row_of_another_wood_fails(self, tmp_path, cells):
+        path = self.write(tmp_path, *self.GOOD * 3, cells, *self.GOOD)
+        with pytest.raises(CanopyError, match="^row 10: ") as excinfo:
+            load_measurements(path, wood="conifer")
+        assert excinfo.value.row == 10
 
 
 class TestMeasurement:

@@ -224,6 +224,13 @@ class TestLoadInventory:
             load_inventory(path)
         assert excinfo.value.row == 2
 
+    def test_rows_without_the_last_column(self, tmp_path):
+        # the label comes last here, and no row has it
+        path = tmp_path / "inv.csv"
+        path.write_text("wood,size,count,label\nevergreen,tall,5\nconifer,shrub,3\n")
+        with pytest.raises(ParseError, match="^row 1: missing label value$"):
+            load_inventory(path)
+
     def test_byte_order_mark_ignored(self, tmp_path):
         path = tmp_path / "inv.csv"
         path.write_text("\ufefflabel,wood,size,count\nx,evergreen,tall,5\n", encoding="utf-8")
