@@ -15,6 +15,9 @@ import json
 import math
 import os
 import sys
+from functools import cache
+from itertools import compress, repeat
+from operator import itemgetter
 from typing import Sequence
 
 from . import __version__
@@ -26,9 +29,9 @@ from .carbon import (
 )
 from .errors import CanopyError, ValidationError
 from .fielddata import (
+    _survey,
     default_breakpoints,
     fit_piecewise_linear,
-    load_measurements,
     reference_tables,
 )
 from .growth import (
@@ -152,13 +155,56 @@ def _resolve(args: argparse.Namespace) -> dict:
     return settings
 
 
+def _column(values: Sequence) -> list[str]:
+    """The printed cells of a column of values: a float with six decimals,
+    or six significant digits if six decimals would hide a nonzero value;
+    anything else as ``str`` gives it."""
+    cells = [format(v, ".6f") if isinstance(v, float) else str(v) for v in values]
+    for i in compress(range(len(cells)), map({"0.000000", "-0.000000"}.__contains__, cells)):
+        if isinstance(values[i], float) and values[i]:
+            cells[i] = format(values[i], ".6g")
+    return cells
+
+
 def _num(value: float) -> str:
-    text = f"{value:.6f}"
-    return f"{value:.6g}" if value and not float(text) else text
+    return _column((value,))[0]
+
+
+@cache
+def _encoder(depth: int) -> json.JSONEncoder:
+    """The C encoder whose item separator starts a line indented to ``depth``."""
+    separators = (",\n" + "  " * depth, ": ")
+    return json.JSONEncoder(separators=separators, sort_keys=True, allow_nan=False)
+
+
+def _indented(value, depth: int) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` prints it
+    at ``depth``: a container holding no container takes one C encoder call."""
+    encoder = _encoder(depth + 1)
+    is_dict = isinstance(value, dict)
+    if not (is_dict or isinstance(value, (list, tuple))) or not value:
+        return encoder.encode(value)
+    if not any(map(isinstance, value.values() if is_dict else value, repeat((dict, list, tuple)))):
+        body = encoder.encode(value)[1:-1]
+    elif is_dict:
+        key = json.encoder.encode_basestring_ascii
+        body = encoder.item_separator.join(
+            f"{key(k)}: {_indented(v, depth + 1)}" for k, v in sorted(value.items())
+        )
+    else:
+        body = encoder.item_separator.join(_indented(v, depth + 1) for v in value)
+    first, last = "{}" if is_dict else "[]"
+    pad = "  " * depth
+    return f"{first}\n{pad}  {body}\n{pad}{last}"
 
 
 def _json_dumps(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)`` and a newline."""
+    try:
+        return _indented(payload, 0) + "\n"
+    except (TypeError, ValueError):
+        # json.dumps itself: the error it raises, or the keys it converts
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(
@@ -178,20 +224,19 @@ def _emit(
         pairs = header is None
         if pairs:
             header, rows = list(payload), [payload.values()]
-        cells = [header] + [
-            [_num(v) if isinstance(v, float) else str(v) for v in row] for row in rows
-        ]
+        # each column headed by its name
+        columns = [_column(column) for column in zip(header, *rows)]
         if settings["format"] == "csv":
             buffer = io.StringIO()
-            csv.writer(buffer, lineterminator="\n").writerows(cells)
+            csv.writer(buffer, lineterminator="\n").writerows(zip(*columns))
             text = buffer.getvalue()
         elif pairs:
             width = max(map(len, header))
-            text = "".join(f"{k:<{width}}  {v}\n" for k, v in zip(*cells))
+            text = "".join(f"{k:<{width}}  {v}\n" for k, v in columns)
         else:
-            widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
-            lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
-                     for row in cells]
+            widths = [max(map(len, column)) for column in columns]
+            layout = "  ".join(f"{{:<{w}}}" for w in widths)
+            lines = list(map(str.rstrip, map(layout.format, *columns)))
             lines.insert(1, "  ".join("-" * w for w in widths))
             text = "\n".join(lines) + "\n" + footer
     if settings["output"] is None:
@@ -274,10 +319,9 @@ def _cmd_portfolio(args: argparse.Namespace, settings: dict) -> None:
         raise _UsageError(str(exc)) from exc
     cohorts = load_inventory(args.inventory)
     if args.continuous_cap:
-        cohorts = [
-            PlantingCohort(species(c.spec.wood, c.spec.size, continuous_cap=True), c.count, c.label)
-            for c in cohorts
-        ]
+        specs = {c.spec for c in cohorts}
+        capped = {s: species(s.wood, s.size, continuous_cap=True) for s in specs}
+        cohorts = [PlantingCohort(capped[c.spec], c.count, c.label) for c in cohorts]
     report = evaluate_portfolio(
         cohorts,
         params,
@@ -286,7 +330,8 @@ def _cmd_portfolio(args: argparse.Namespace, settings: dict) -> None:
     )
     # keys and columns are the PortfolioReport / CohortResult field names
     header = list(CohortResult._fields)
-    per_cohort = [{name: getattr(r, name) for name in header} for r in report.per_cohort]
+    # a record keeps its fields, in order, in its instance dict
+    per_cohort = list(map(dict, map(vars, report.per_cohort)))
     payload = {name: getattr(report, name) for name in PortfolioReport._fields}
     payload.update(
         horizon_years=params.horizon,
@@ -294,10 +339,9 @@ def _cmd_portfolio(args: argparse.Namespace, settings: dict) -> None:
         steward_years=params.steward_years,
         per_cohort=per_cohort,
     )
-    rows = [list(cohort.values()) for cohort in per_cohort]
     shares = math.fsum(r.steward_share for r in report.per_cohort)
-    rows.append(["TOTAL", "", "", "", report.gross_credit, shares])
-    rows.append(["NET", "", "", "", report.net_credit, ""])
+    rows = [*map(dict.values, per_cohort), ["TOTAL", "", "", "", report.gross_credit, shares],
+            ["NET", "", "", "", report.net_credit, ""]]
     _emit(settings, payload, header, rows)
     if report.shortfall:
         print("canopy: warning: project emissions exceed gross credit",
@@ -334,22 +378,23 @@ def _cmd_fit(args: argparse.Namespace, settings: dict) -> None:
         if args.wood is not None:
             raise _UsageError("--wood selects rows of a measurements file, not of --reference")
         wood = WoodType(args.reference)
-        rows = reference_tables()[wood]
+        points = [(m.height, m.diameter) for m in reference_tables()[wood]]
     else:
-        rows = load_measurements(args.measurements, args.wood)
+        # the checked (wood, height, girth, diameter) of each row: no records
+        rows = _survey(args.measurements, args.wood)
         if not rows:
             kind = "measurement" if args.wood is None else args.wood
             raise _UsageError(f"no {kind} rows in {args.measurements}")
-        woods = {m.wood for m in rows}
+        woods = set(map(itemgetter(0), rows))
         if len(woods) > 1:
             raise _UsageError("file mixes wood types; pick one with --wood")
         (wood,) = woods
+        points = list(map(itemgetter(1, 3), rows))
     breakpoints = (
         tuple(args.breakpoints)
         if args.breakpoints is not None
         else default_breakpoints(wood)
     )
-    points = [(m.height, m.diameter) for m in rows]
     result = fit_piecewise_linear(points, breakpoints, wood=wood)
     fitted = list(zip(result.model.segments, result.per_segment_r2))
     payload = {

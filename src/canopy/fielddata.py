@@ -8,9 +8,10 @@ coefficients by per-segment ordinary least squares.
 
 import csv
 import math
+from bisect import bisect_left, bisect_right
 from functools import partial
-from itertools import compress, islice, repeat
-from operator import add, is_, itemgetter
+from itertools import chain, compress, islice, repeat, starmap
+from operator import add, is_, itemgetter, mul, sub
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -98,7 +99,7 @@ _CHUNK_ROWS = 4096
 def _read_table(
     path: str | Path,
     parse: Callable[..., list | None],
-    make: Callable[..., Record | None],
+    make: Callable[..., Record | tuple | None],
     required: Sequence[str],
     optional: Sequence[str] = (),
 ) -> list:
@@ -197,9 +198,9 @@ def _measurement(wood: str, height: str, girth: str, diameter: str) -> Measureme
 
 def _measurements(
     keep: WoodType | None, wood: list, height: list, girth: list, diameter: list
-) -> list[Measurement] | None:
-    """A chunk's measurements of wood ``keep`` (all, if None), or None if a
-    row of any wood would fail :func:`_measurement`."""
+) -> list[tuple] | None:
+    """A chunk's checked (wood, height, girth, diameter) rows of wood ``keep``
+    (all, if None), or None if a row of any wood would fail :func:`_measurement`."""
     given = list(map(bool, girth))
     # each row gives exactly one of girth and diameter, so g + d is that one
     if any(map(is_, given, map(bool, diameter))):
@@ -218,10 +219,24 @@ def _measurements(
     rows = zip(woods, heights, sizes, given)
     if keep is not None:
         rows = compress(rows, map(is_, woods, repeat(keep)))
+    # girth_to_diameter's division, as a Measurement given a girth makes it
     return [
-        Measurement(w, h, size) if is_girth else Measurement(w, h, None, size)
+        (w, h, size, size / GIRTH_PI) if is_girth else (w, h, None, size)
         for w, h, size, is_girth in rows
     ]
+
+
+def _survey(path: str | Path, wood: WoodType | str | None) -> list[tuple]:
+    """The checked (wood, height, girth, diameter) values of the rows of
+    ``wood`` in a measurement CSV, as :func:`load_measurements` reads it."""
+    keep = None if wood is None else _member(WoodType, wood)
+
+    def make(*cells: str) -> tuple | None:
+        m = _measurement(*cells)
+        return (m.wood, m.height, m.girth, m.diameter) if keep in (None, m.wood) else None
+
+    columns = ("wood", "height_cm"), ("girth_cm", "diameter_cm")
+    return _read_table(path, partial(_measurements, keep), make, *columns)
 
 
 def load_measurements(path: str | Path, wood: WoodType | str | None = None) -> list[Measurement]:
@@ -243,32 +258,27 @@ def load_measurements(path: str | Path, wood: WoodType | str | None = None) -> l
             neither of girth/diameter present.
         Each with ``row N: `` and ``row`` set if a data row raised it.
     """
-    keep = None if wood is None else _member(WoodType, wood)
-
-    def make(*cells: str) -> Measurement | None:
-        record = _measurement(*cells)
-        return record if keep is None or record.wood is keep else None
-
-    return _read_table(
-        path, partial(_measurements, keep), make, ("wood", "height_cm"), ("girth_cm", "diameter_cm")
-    )
+    return list(starmap(Measurement, _survey(path, wood)))
 
 
-def _ols(points: Sequence[tuple[float, float]]) -> tuple[float, float, float, float]:
+def _ols(heights: Sequence[float], diameters: Sequence[float]) -> tuple[float, float, float, float]:
     """Slope, intercept, r^2 and residual sum of squares for one segment.
 
     Least squares on the centred points, with every sum taken by
-    :func:`math.fsum`, so no cancellation enters from the raw products.
+    :func:`math.fsum`, so no cancellation enters from the raw products and
+    the order of the points does not matter.
     """
-    n = len(points)
-    h_mean = math.fsum(h for h, _ in points) / n
-    d_mean = math.fsum(d for _, d in points) / n
-    dh = [h - h_mean for h, _ in points]
-    dd = [d - d_mean for _, d in points]
-    slope = math.fsum(x * y for x, y in zip(dh, dd)) / math.fsum(x * x for x in dh)
+    n = len(heights)
+    h_mean = math.fsum(heights) / n
+    d_mean = math.fsum(diameters) / n
+    dh = list(map(sub, heights, repeat(h_mean)))
+    dd = list(map(sub, diameters, repeat(d_mean)))
+    slope = math.fsum(map(mul, dh, dd)) / math.fsum(map(mul, dh, dh))
     intercept = d_mean - slope * h_mean
-    ss_res = math.fsum((d - (slope * h + intercept)) ** 2 for h, d in points)
-    ss_tot = math.fsum(y * y for y in dd)
+    # each residual is d - (slope * h + intercept), squared
+    fitted = map(add, map(mul, repeat(slope), heights), repeat(intercept))
+    ss_res = math.fsum(map(pow, map(sub, diameters, fitted), repeat(2)))
+    ss_tot = math.fsum(map(mul, dd, dd))
     if ss_tot == 0.0:
         r2 = 1.0 if ss_res == 0.0 else 0.0
     else:
@@ -300,11 +310,16 @@ def fit_piecewise_linear(
     Raises:
         UnderdeterminedError: If a segment holds fewer than two distinct
             heights.
-        ValidationError: Bad breakpoints, or a fitted segment violating
-            the model invariants (nonpositive slope / negative diameter).
+        ValidationError: A non-finite height or diameter, a negative
+            height, bad breakpoints, or a fitted segment violating the
+            model invariants (nonpositive slope / negative diameter).
     """
-    pts = [(float(h), float(d)) for h, d in points]
-    if any(h < 0.0 for h, _ in pts):
+    # sorted by height, each segment's points are one slice
+    pts = sorted(((float(h), float(d)) for h, d in points), key=itemgetter(0))
+    if not all(map(math.isfinite, chain.from_iterable(pts))):
+        raise ValidationError("heights and diameters must be finite")
+    heights, diameters = (list(map(itemgetter(i), pts)) for i in (0, 1))
+    if heights and heights[0] < 0.0:
         raise ValidationError("heights must be nonnegative")
     bps = [float(b) for b in breakpoints]
     if not all(map(math.isfinite, bps)):
@@ -312,33 +327,22 @@ def fit_piecewise_linear(
     if any(b <= 0.0 for b in bps) or sorted(set(bps)) != bps:
         raise ValidationError("breakpoints must be positive and strictly increasing")
 
-    edges: list[tuple[float, float | None]] = []
-    lower = 0.0
-    for b in bps:
-        edges.append((lower, b))
-        lower = b
-    edges.append((lower, None))
-
-    segments = []
-    r2s = []
-    ss_res_total = []
-    n_assigned = 0
-    for lo, hi in edges:
+    segments, r2s, ss_res_total, n_assigned = [], [], [], 0
+    for lo, hi in zip([0.0, *bps], [*bps, None]):
         # boundary rows belong to both neighbouring segments
-        selected = [
-            (h, d) for h, d in pts if h >= lo and (hi is None or h <= hi)
-        ]
-        if len(selected) < 2 or len({h for h, _ in selected}) < 2:
+        first = bisect_left(heights, lo)
+        last = len(heights) if hi is None else bisect_right(heights, hi)
+        if last - first < 2 or heights[first] == heights[last - 1]:
             upper = "inf" if hi is None else f"{hi:g}"
             raise UnderdeterminedError(
                 f"segment [{lo:g}, {upper}) needs two distinct heights, "
-                f"has {len(selected)} point(s)"
+                f"has {last - first} point(s)"
             )
-        slope, intercept, r2, ss_res = _ols(selected)
+        slope, intercept, r2, ss_res = _ols(heights[first:last], diameters[first:last])
         segments.append(DiameterSegment(lo, hi, slope, intercept))
         r2s.append(r2)
         ss_res_total.append(ss_res)
-        n_assigned += len(selected)
+        n_assigned += last - first
 
     model = DiameterModel(wood=wood, segments=tuple(segments))
     rms = math.sqrt(math.fsum(ss_res_total) / n_assigned)

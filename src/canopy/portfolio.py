@@ -149,37 +149,25 @@ def evaluate_portfolio(
             return removal_models[size]
         return removal.default_removal_model(size)
 
+    steward_years, horizon = params.steward_years, params.horizon
+    allocate_steward_share(0.0, steward_years, horizon)  # its checks, once for all shares
+    survivor_only = params.credit_mode is CreditMode.SURVIVOR_ONLY
     reports: dict[SpeciesSpec, carbon.AbsorptionReport] = {}
     results = []
     for cohort in cohorts:
         spec = cohort.spec
-        if spec not in reports:
-            reports[spec] = expected_absorption(
-                spec,
-                diameter_models[spec.wood],
-                removal_for(spec.size),
-                constant,
-                params.horizon,
+        report = reports.get(spec)
+        if report is None:
+            report = reports[spec] = expected_absorption(
+                spec, diameter_models[spec.wood], removal_for(spec.size), constant, horizon
             )
-        report = reports[spec]
-        basis = (
-            report.creditable
-            if params.credit_mode is CreditMode.SURVIVOR_ONLY
-            else report.expected_total
-        )
+        basis = report.creditable if survivor_only else report.expected_total
         cohort_credit = cohort.count * basis
-        results.append(
-            CohortResult(
-                label=cohort.label,
-                count=cohort.count,
-                per_tree_total=report.expected_total,
-                per_tree_creditable=report.creditable,
-                cohort_credit=cohort_credit,
-                steward_share=allocate_steward_share(
-                    cohort_credit, params.steward_years, params.horizon
-                ),
-            )
-        )
+        # the steward share is allocate_steward_share's expression
+        results.append(CohortResult(
+            cohort.label, cohort.count, report.expected_total, report.creditable,
+            cohort_credit, cohort_credit * steward_years / horizon,
+        ))
     # the one finite-credit check: an overflowing credit or steward share
     # would print as inf, which JSON cannot even carry
     try:

@@ -3,12 +3,14 @@ import csv
 import io
 import json
 import math
+import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from canopy.cli import _FORMATS, _SETTINGS, _num, main
+from canopy import default_breakpoints, fit_piecewise_linear, load_measurements
+from canopy.cli import _FORMATS, _SETTINGS, _column, _json_dumps, _num, main
 
 from reference_values import CONIFER_FIT_ORACLE
 
@@ -421,6 +423,62 @@ def test_num_shows_nonzero_values_six_decimals_would_hide(value, text):
     assert _num(value) == text
 
 
+def num_reference(value: float) -> str:
+    """The cell rule for one float, stated cell by cell."""
+    text = f"{value:.6f}"
+    return f"{value:.6g}" if value and not float(text) else text
+
+
+# floats either side of where six decimals round to zero, subnormals and
+# signed zeros, then any float
+CELL_FLOATS = st.one_of(
+    st.sampled_from([
+        5e-7, -5e-7, math.nextafter(5e-7, 0.0), math.nextafter(5e-7, 1.0),
+        math.nextafter(-5e-7, 0.0), math.nextafter(-5e-7, -1.0), 4.9999995e-7,
+        5e-324, -5e-324, 2.2250738585072009e-308, 0.0, -0.0,
+    ]),
+    st.floats(-1e-6, 1e-6),
+    st.floats(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(CELL_FLOATS, st.integers(), st.text(max_size=5), st.booleans())))
+def test_column_prints_each_cell_by_the_cell_rule(values):
+    want = [num_reference(v) if isinstance(v, float) else str(v) for v in values]
+    assert _column(values) == want
+    assert [_num(v) for v in values if isinstance(v, float)] == [
+        w for v, w in zip(values, want) if isinstance(v, float)
+    ]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), inner, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(payload=JSON_VALUES)
+@example(payload={"per_cohort": [{"label": "caf\u00e9 \"A\"\\\n\t\u2028", "count": 3}, {}], "x": [[], ()]})
+@example(payload=[{"a": [1.5, {"b": math.nan}]}])
+@example(payload={"a": {"b": -math.inf}})
+def test_json_dumps_is_json_dumps_indented(payload):
+    try:
+        want = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        with pytest.raises(ValueError) as excinfo:
+            _json_dumps(payload)
+        assert str(excinfo.value) == str(exc)
+    else:
+        assert _json_dumps(payload) == want
+
+
 class TestFit:
     def test_reference_conifer(self, capsys):
         code, out, _ = run(
@@ -454,6 +512,44 @@ class TestFit:
         assert low["intercept"] == pytest.approx(1.2208, abs=1e-9)
         assert high["slope"] == pytest.approx(0.0429, abs=1e-9)
         assert high["intercept"] == pytest.approx(-9.5903, abs=1e-9)
+
+    @pytest.mark.parametrize("wood", ["evergreen", "deciduous", "conifer"])
+    def test_refit_prints_the_fit_of_the_records(self, capsys, tmp_path, wood):
+        # girth and diameter rows, comments, blank lines and upper-case names
+        # over three chunks of 4,096 rows
+        rng = random.Random(19)
+        lines = ["WOOD,Height_cm,girth_cm,DIAMETER_CM", "# survey"]
+        for i in range(9000):
+            name = ("evergreen", "deciduous", "conifer")[i % 3]
+            h = rng.uniform(60.0, 1500.0)
+            d = 0.03 * h + 1.0 + rng.gauss(0.0, 0.2)
+            size = f"{d * 3.14:.4f}," if i % 5 < 2 else f",{d:.4f}"
+            lines.append(f"{name.upper() if i % 7 == 0 else name},{h:.3f},{size}")
+            if i % 1000 == 999:
+                lines += ["", "# block end"]
+        path = tmp_path / "survey.csv"
+        path.write_text("\n".join(lines) + "\n")
+        records = load_measurements(path, wood)
+        result = fit_piecewise_linear(
+            [(m.height, m.diameter) for m in records], default_breakpoints(wood)
+        )
+        # the records' own heights and diameters, as a file of that wood alone
+        alone = tmp_path / "records.csv"
+        alone.write_text("wood,height_cm,diameter_cm\n" + "".join(
+            f"{wood},{m.height!r},{m.diameter!r}\n" for m in records
+        ))
+        outputs = {}
+        for fmt in _FORMATS:
+            code, outputs[fmt], err = run(capsys, "fit", str(path), "--wood", wood, "--format", fmt)
+            assert (code, err) == (0, "")
+            assert run(capsys, "fit", str(alone), "--format", fmt) == (0, outputs[fmt], "")
+        payload = json.loads(outputs["json"])
+        assert payload["n_points"] == len(records)
+        assert payload["residual_rms_cm"] == result.residual_rms
+        assert [(s["slope"], s["intercept"], s["r_squared"]) for s in payload["segments"]] == [
+            (seg.slope, seg.intercept, r2)
+            for seg, r2 in zip(result.model.segments, result.per_segment_r2)
+        ]
 
     def test_empty_segment_exit_code(self, capsys):
         code, _, err = run(

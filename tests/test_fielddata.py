@@ -1,6 +1,8 @@
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from canopy import fielddata, portfolio
 from canopy import (
@@ -394,6 +396,29 @@ class TestFit:
         points = [(10.0, 1.0), (20.0, 2.0), (400.0, 8.0), (500.0, 11.0)]
         with pytest.raises(ValidationError, match="finite"):
             fit_piecewise_linear(points, breakpoints)
+
+    @pytest.mark.parametrize(
+        "point", [(math.nan, 3.0), (math.inf, 3.0), (-math.inf, 3.0), (300.0, math.nan), (300.0, math.inf)]
+    )
+    def test_non_finite_point(self, point):
+        # a nan height once fell out of every segment unseen, and an infinite
+        # one escaped as fsum's bare ValueError
+        points = [(10.0, 1.0), (90.0, 2.0), (110.0, 5.0), (200.0, 8.0)]
+        fit_piecewise_linear(points, [100.0])
+        with pytest.raises(ValidationError, match="^heights and diameters must be finite$"):
+            fit_piecewise_linear(points + [point], [100.0])
+
+    @settings(max_examples=50, deadline=None)
+    @given(order=st.randoms(use_true_random=False))
+    def test_point_order_does_not_matter(self, order):
+        # noisy points with rows on both breakpoints and repeated heights
+        rng = random.Random(7)
+        points = [(h, 0.03 * h + 1.0 + rng.gauss(0.0, 0.3))
+                  for h in [rng.uniform(50.0, 1200.0) for _ in range(60)] + [250.0, 300.0] * 3]
+        expected = fit_piecewise_linear(points, [250.0, 300.0], wood=WoodType.EVERGREEN)
+        order.shuffle(points)
+        result = fit_piecewise_linear(points, [250.0, 300.0], wood=WoodType.EVERGREEN)
+        assert result == expected and repr(result) == repr(expected)
 
     def test_decreasing_data_violates_model(self):
         points = [(10.0, 5.0), (50.0, 4.0), (90.0, 3.0)]
