@@ -27,8 +27,9 @@ from .carbon import (
     default_carbon_factors,
     expected_absorption,
 )
-from .errors import CanopyError, ValidationError
+from .errors import CanopyError, DomainError, ValidationError
 from .fielddata import (
+    _breakpoints,
     _survey,
     default_breakpoints,
     fit_piecewise_linear,
@@ -37,6 +38,7 @@ from .fielddata import (
 from .growth import (
     SizeClass,
     WoodType,
+    _check_horizon,
     default_diameter_models,
     diameter_from_height,
     height,
@@ -251,6 +253,10 @@ def _absorption(args: argparse.Namespace, settings: dict):
     share.  Returns the diameter model, the report and the payload fields
     that both commands print first."""
     spec = species(args.wood, args.size, continuous_cap=args.continuous_cap)
+    try:
+        _check_horizon(spec, settings["horizon"])
+    except DomainError as exc:  # a conifer's horizon at or below its start
+        raise _UsageError(str(exc)) from exc
     model = default_diameter_models()[spec.wood]
     report = expected_absorption(
         spec, model, settings["removal"][spec.size], settings["constant"],
@@ -425,12 +431,11 @@ def _cmd_fit(args: argparse.Namespace, settings: dict) -> None:
 
 def _breakpoint_list(text: str) -> list[float]:
     try:
-        values = [float(part) for part in text.split(",") if part.strip()]
+        return _breakpoints(part for part in text.split(",") if part.strip())
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad breakpoint list {text!r}") from None
-    if not all(map(math.isfinite, values)):
-        raise argparse.ArgumentTypeError(f"breakpoints must be finite, got {text!r}")
-    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

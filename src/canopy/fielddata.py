@@ -98,8 +98,7 @@ _CHUNK_ROWS = 4096
 
 def _read_table(
     path: str | Path,
-    parse: Callable[..., list | None],
-    make: Callable[..., Record | tuple | None],
+    parse: Callable[..., list],
     required: Sequence[str],
     optional: Sequence[str] = (),
 ) -> list:
@@ -107,21 +106,19 @@ def _read_table(
     a chunk of ``_CHUNK_ROWS`` data rows at a time.
 
     ``parse`` gets a chunk's stripped cells as columns, one list for each
-    ``required`` column, then each ``optional`` one, and returns the
-    chunk's records, or None if a cell fails one of its checks.  A chunk
-    that ``parse`` refuses, or that has a short row, is read again one row
-    at a time: ``make`` gets a row's cells in the same order and returns
-    its record, or None to leave the row out, and raises the first bad
-    row's error.  An optional column missing from the header or the row
-    reads as "".  ``#``-prefixed and blank lines are skipped, a leading
-    byte-order mark is ignored, header names are stripped and lower-cased,
-    and a repeated name means its first column.  An empty file has no rows.
+    ``required`` column, then each ``optional`` one (a cell the header or
+    the row lacks reads as ""), and returns the chunk's records or raises.
+    A chunk that raises is passed again a row at a time, only to find the
+    row that raises first.  ``#``-prefixed and blank lines are skipped, a
+    leading byte-order mark is ignored, header names are stripped and
+    lower-cased, and a repeated name means its first column.  An empty
+    file has no rows.
 
     Raises:
         ParseError: If the header lacks a ``required`` column or names
             none of the ``optional`` ones, or a row is too short for a
             required column.
-        CanopyError: Whatever ``make`` raises.  An error that a data row
+        CanopyError: Whatever ``parse`` raises.  An error that a data row
             raises gets its 1-based number as ``row`` and a ``row N: `` prefix.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
@@ -139,37 +136,31 @@ def _read_table(
             raise ParseError(f"header needs a {' or '.join(optional)} column")
         # an optional column the header lacks points one past its end
         positions = [header.index(n) if n in header else len(header) for n in (*required, *optional)]
-        width = max(positions) + 1
+
+        def parse_rows(rows: list[list[str]]) -> list:
+            shortest, longest = min(map(len, rows)), max(map(len, rows))
+            for name, pos in zip(required, positions):
+                if pos >= shortest:
+                    raise ParseError(f"missing {name} value")
+            return parse(*[
+                list(map(str.strip, map(itemgetter(pos), rows))) if pos < shortest
+                else [""] * len(rows) if pos >= longest
+                else [row[pos].strip() if pos < len(row) else "" for row in rows]
+                for pos in positions
+            ])
+
         records, first = [], 1
         while chunk := list(islice(lines, _CHUNK_ROWS)):
-            shortest, longest = min(map(len, chunk)), max(map(len, chunk))
-            got = None
-            # read whole a column whose cell every row has, or (for an
-            # optional column alone) no row has
-            if all(pos < shortest for pos in positions[: len(required)]) and not any(
-                shortest <= pos < longest for pos in positions
-            ):
-                got = parse(*[
-                    list(map(str.strip, map(itemgetter(pos), chunk))) if pos < shortest
-                    else [""] * len(chunk)
-                    for pos in positions
-                ])
-            if got is None:
-                got = []
+            try:
+                records += parse_rows(chunk)
+            except CanopyError:
                 for row_number, line in enumerate(chunk, start=first):
                     try:
-                        if len(line) < width:
-                            for name, pos in zip(required, positions):
-                                if pos >= len(line):
-                                    raise ParseError(f"missing {name} value")
-                            line += [""] * (width - len(line))
-                        record = make(*[line[pos].strip() for pos in positions])
+                        parse_rows([line])
                     except CanopyError as exc:
                         exc.row, exc.args = row_number, (f"row {row_number}: {exc}",)
-                        raise
-                    if record is not None:
-                        got.append(record)
-            records += got
+                        raise exc from None
+                raise
             first += len(chunk)
         return records
 
@@ -198,24 +189,27 @@ def _measurement(wood: str, height: str, girth: str, diameter: str) -> Measureme
 
 def _measurements(
     keep: WoodType | None, wood: list, height: list, girth: list, diameter: list
-) -> list[tuple] | None:
+) -> list[tuple]:
     """A chunk's checked (wood, height, girth, diameter) rows of wood ``keep``
-    (all, if None), or None if a row of any wood would fail :func:`_measurement`."""
+    (all, if None); the first row of any wood that fails :func:`_measurement`
+    raises its error."""
     given = list(map(bool, girth))
-    # each row gives exactly one of girth and diameter, so g + d is that one
-    if any(map(is_, given, map(bool, diameter))):
-        return None
     try:
         woods = list(map(_MEMBERS[WoodType].__getitem__, map(str.lower, wood)))
         heights = list(map(float, height))
+        # a row gives one of girth and diameter (checked below), so g + d is that one
         sizes = list(map(float, map(add, girth, diameter)))
+        # a girth so small that its diameter rounds to 0 fails as well
+        girths = list(compress(sizes, given))
+        if any(map(is_, given, map(bool, diameter))) or not (
+            _positive_finite(heights) and _positive_finite(sizes)
+            and min(girths, default=GIRTH_PI) / GIRTH_PI > 0.0
+        ):
+            raise ValueError
     except (KeyError, ValueError):
-        return None
-    # a girth so small that its diameter rounds to 0 fails as well
-    girths = list(compress(sizes, given))
-    if not (_positive_finite(heights) and _positive_finite(sizes)
-            and min(girths, default=GIRTH_PI) / GIRTH_PI > 0.0):
-        return None
+        # the first bad row raises; good rows whose heights sum to inf pass
+        made = map(_measurement, wood, height, girth, diameter)
+        return [(m.wood, m.height, m.girth, m.diameter) for m in made if keep in (None, m.wood)]
     rows = zip(woods, heights, sizes, given)
     if keep is not None:
         rows = compress(rows, map(is_, woods, repeat(keep)))
@@ -230,13 +224,8 @@ def _survey(path: str | Path, wood: WoodType | str | None) -> list[tuple]:
     """The checked (wood, height, girth, diameter) values of the rows of
     ``wood`` in a measurement CSV, as :func:`load_measurements` reads it."""
     keep = None if wood is None else _member(WoodType, wood)
-
-    def make(*cells: str) -> tuple | None:
-        m = _measurement(*cells)
-        return (m.wood, m.height, m.girth, m.diameter) if keep in (None, m.wood) else None
-
     columns = ("wood", "height_cm"), ("girth_cm", "diameter_cm")
-    return _read_table(path, partial(_measurements, keep), make, *columns)
+    return _read_table(path, partial(_measurements, keep), *columns)
 
 
 def load_measurements(path: str | Path, wood: WoodType | str | None = None) -> list[Measurement]:
@@ -286,6 +275,17 @@ def _ols(heights: Sequence[float], diameters: Sequence[float]) -> tuple[float, f
     return slope, intercept, r2, ss_res
 
 
+def _breakpoints(breakpoints: Iterable[float]) -> list[float]:
+    """The breakpoints as floats, if finite, positive and strictly
+    increasing (else ValidationError)."""
+    bps = [float(b) for b in breakpoints]
+    if not all(map(math.isfinite, bps)):
+        raise ValidationError(f"breakpoints must be finite, got {bps}")
+    if any(b <= 0.0 for b in bps) or sorted(set(bps)) != bps:
+        raise ValidationError("breakpoints must be positive and strictly increasing")
+    return bps
+
+
 def fit_piecewise_linear(
     points: Iterable[tuple[float, float]],
     breakpoints: Sequence[float],
@@ -321,11 +321,7 @@ def fit_piecewise_linear(
     heights, diameters = (list(map(itemgetter(i), pts)) for i in (0, 1))
     if heights and heights[0] < 0.0:
         raise ValidationError("heights must be nonnegative")
-    bps = [float(b) for b in breakpoints]
-    if not all(map(math.isfinite, bps)):
-        raise ValidationError(f"breakpoints must be finite, got {bps}")
-    if any(b <= 0.0 for b in bps) or sorted(set(bps)) != bps:
-        raise ValidationError("breakpoints must be positive and strictly increasing")
+    bps = _breakpoints(breakpoints)
 
     segments, r2s, ss_res_total, n_assigned = [], [], [], 0
     for lo, hi in zip([0.0, *bps], [*bps, None]):

@@ -191,17 +191,15 @@ def _cohort(label: str, wood: str, size: str, count: str) -> PlantingCohort:
     return PlantingCohort(spec, _number(count, "count", int), label)
 
 
-def _cohorts(label: list, wood: list, size: list, count: list) -> list[PlantingCohort] | None:
-    """A chunk's cohorts, or None if a row would fail :func:`_cohort`."""
+def _cohorts(label: list, wood: list, size: list, count: list) -> list[PlantingCohort]:
+    """A chunk's cohorts; the first row that fails :func:`_cohort` raises its error."""
     try:
         # the spec table finds a spec by its names (see growth._SPECS)
         keys = zip(map(str.lower, wood), map(str.lower, size), repeat(False))
         specs = list(map(growth._SPECS.__getitem__, keys))
         counts = list(map(int, count))
     except (KeyError, ValueError):
-        return None
-    if not 0 <= min(counts) <= max(counts) <= sys.float_info.max:
-        return None
+        return list(map(_cohort, label, wood, size, count))
     return list(map(PlantingCohort, specs, counts, label))
 
 
@@ -217,4 +215,4 @@ def load_inventory(path: str | Path) -> list[PlantingCohort]:
         ValidationError: A count out of range (see :class:`PlantingCohort`).
         Each with ``row N: `` and ``row`` set if a data row raised it.
     """
-    return _read_table(path, _cohorts, _cohort, ("label", "wood", "size", "count"))
+    return _read_table(path, _cohorts, ("label", "wood", "size", "count"))

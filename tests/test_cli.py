@@ -9,7 +9,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from canopy import default_breakpoints, fit_piecewise_linear, load_measurements
+from canopy import ValidationError, default_breakpoints, fit_piecewise_linear, load_measurements
 from canopy.cli import _FORMATS, _SETTINGS, _column, _json_dumps, _num, main
 
 from reference_values import CONIFER_FIT_ORACLE
@@ -304,6 +304,20 @@ class TestNonFiniteInput:
         assert code == 2 and out == ""
         assert "horizon" in err
 
+    @pytest.mark.parametrize("command", ["estimate", "breakdown"])
+    @pytest.mark.parametrize("horizon", ["0.5", "1.0"])
+    def test_conifer_horizon_at_or_below_its_start(self, capsys, tmp_path, command, horizon):
+        code, out, err = run(
+            capsys, command, "--wood", "conifer", "--size", "tall", "--horizon", horizon,
+        )
+        assert (code, out) == (2, "")
+        assert err == "canopy: error: horizon must exceed domain start 1.0\n"
+        # in a portfolio the conifer comes from the file: a data error
+        inventory = tmp_path / "inventory.csv"
+        inventory.write_text("label,wood,size,count\nstreet-A,conifer,tall,1\n")
+        argv = ["portfolio", str(inventory), "--horizon", horizon, "--steward-years", "0"]
+        assert run(capsys, *argv) == (1, "", err)
+
     def test_json_never_prints_nan(self):
         from canopy.cli import _json_dumps
 
@@ -558,12 +572,16 @@ class TestFit:
         assert code == 1
         assert "segment" in err
 
-    @pytest.mark.parametrize("breakpoints", ["nan", "300,inf"])
+    @pytest.mark.parametrize("breakpoints", ["nan", "300,inf", "0", "-5", "300,300", "300,250"])
     def test_non_finite_breakpoints_are_usage_error(self, capsys, breakpoints):
+        # the flag states the library's one breakpoint rule
+        with pytest.raises(ValidationError) as rule:
+            fit_piecewise_linear([(1.0, 1.0), (2.0, 2.0)], map(float, breakpoints.split(",")))
         with pytest.raises(SystemExit) as excinfo:
             main(["fit", "--reference", "conifer", "--breakpoints", breakpoints])
         assert excinfo.value.code == 2
-        assert "finite" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(f"error: argument --breakpoints: {rule.value}\n")
 
     def test_needs_source(self, capsys):
         code, _, err = run(capsys, "fit")

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from canopy import fielddata, portfolio
+from canopy import fielddata
 from canopy import (
     CanopyError,
     DiameterModel,
@@ -178,7 +178,8 @@ class TestLoadMeasurements:
 
 class TestChunks:
     """The reader hands the loaders chunks of rows; a chunk is checked
-    column by column, and read again row by row only where a cell fails."""
+    column by column, and passed again a row at a time only to name the
+    row that fails."""
 
     HEADER = "wood,height_cm,girth_cm,diameter_cm"
     GOOD = ["conifer,300,15,", "evergreen,250,,3.5", "DECIDUOUS,500,32,"]
@@ -190,16 +191,15 @@ class TestChunks:
 
     @pytest.fixture
     def row_reads(self, monkeypatch):
-        """Rows built one at a time by either loader's row path."""
+        """Rows made one at a time by the measurement row rule."""
         reads = []
-        for module, name in ((fielddata, "_measurement"), (portfolio, "_cohort")):
-            make = getattr(module, name)
+        make = fielddata._measurement
 
-            def spy(*cells, make=make):
-                reads.append(cells)
-                return make(*cells)
+        def spy(*cells):
+            reads.append(cells)
+            return make(*cells)
 
-            monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(fielddata, "_measurement", spy)
         return reads
 
     def write(self, tmp_path, *lines, header=HEADER):
@@ -243,10 +243,10 @@ class TestChunks:
         assert rows == self.whole(path, monkeypatch) and len(rows) == 6
 
     def test_short_row_in_a_later_chunk(self, tmp_path, monkeypatch, row_reads):
-        # a row without its trailing optional cells is read as ""
+        # a row without its trailing optional cells is read as "", column by column
         path = self.write(tmp_path, *self.GOOD * 3, "evergreen,250,11", *self.GOOD)
         rows = load_measurements(path)
-        assert len(row_reads) == 4  # the short row's chunk alone
+        assert row_reads == []
         assert rows == self.whole(path, monkeypatch) and rows[9].girth == 11.0
         evergreen = [m for m in rows if m.wood is WoodType.EVERGREEN]
         assert load_measurements(path, "evergreen") == evergreen and len(evergreen) == 5
@@ -254,6 +254,31 @@ class TestChunks:
         with pytest.raises(ParseError, match="^row 10: missing height_cm value$") as excinfo:
             load_measurements(path)
         assert excinfo.value.row == 10
+
+    def test_bad_number_before_a_short_row(self, tmp_path):
+        # the chunk fails for its short row, but row 2 fails first
+        path = self.write(tmp_path, self.GOOD[0], "conifer,3x0,15,", "deciduous", self.GOOD[1])
+        with pytest.raises(ParseError) as excinfo:
+            load_measurements(path)
+        assert str(excinfo.value) == "row 2: bad number '3x0' in column height_cm"
+        assert excinfo.value.row == 2
+
+    def test_bad_count_opening_second_chunk(self, tmp_path):
+        inventory = tmp_path / "inv.csv"
+        rows = ["a,Conifer,SHRUB,3", "b,evergreen,tall,0"]
+        inventory.write_text("\n".join(["label,wood,size,count", *rows * 2, "c,conifer,tall,-1", *rows]))
+        with pytest.raises(ValidationError) as excinfo:
+            load_inventory(inventory)
+        assert str(excinfo.value) == (
+            "row 5: cohort count must be an integer in [0, max float], got -1"
+        )
+        assert excinfo.value.row == 5
+
+    def test_good_heights_whose_sum_overflows(self, tmp_path):
+        # every height is finite, though their sum is not: the chunk is good
+        path = self.write(tmp_path, "conifer,1e308,,5", "evergreen,1.5e308,,5", self.GOOD[0])
+        assert [m.height for m in load_measurements(path, "conifer")] == [1e308, 300.0]
+        assert len(load_measurements(path)) == 3
 
     def test_header_without_an_optional_column(self, tmp_path, monkeypatch, row_reads):
         path = self.write(tmp_path, *["conifer,300,15", "evergreen,250,11"] * 5,
