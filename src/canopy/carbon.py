@@ -208,7 +208,7 @@ def creditable_absorption(
         DomainError: If ``horizon`` is out of the spec's domain, or the
             store passes the float range (see :func:`stored_co2`).
     """
-    growth._check_horizon(spec, horizon)
+    growth._check_horizon(horizon, spec.domain_start)
     weight = survival_fraction(removal, float(horizon))
     return weight * stored_co2(spec, model, constant, float(horizon))
 

@@ -5,7 +5,11 @@ class, carbon factors, 100-year horizon); every constant can be
 overridden by flag or by a JSON config file (``--config`` or the
 ``CANOPY_CONFIG`` environment variable) for sensitivity analysis.
 
-Exit codes: 0 success, 1 computation/data error, 2 usage error.
+Exit codes: 0 success, 1 when a file or the model refuses, 2 when a flag
+or config value is bad.  ``_resolve`` holds that rule: it builds every
+record a command takes from flags and config, so a value they refuse exits
+2, and what a command raises exits 1, bar ``fit``'s file-content checks
+(no rows of the chosen wood, or mixed woods), which exit 2.
 """
 
 import argparse
@@ -27,7 +31,7 @@ from .carbon import (
     default_carbon_factors,
     expected_absorption,
 )
-from .errors import CanopyError, DomainError, ValidationError
+from .errors import CanopyError, ValidationError
 from .fielddata import (
     _breakpoints,
     _survey,
@@ -96,7 +100,7 @@ _KINDS = {name: kind for name, _, kind, _, _ in _SETTINGS}
 
 
 class _UsageError(Exception):
-    """Bad arguments or config; maps to exit code 2."""
+    """Exit code 2: raised by ``_resolve``, or for ``fit``'s file-content cases."""
 
 
 def _load_config(path: str | None) -> dict:
@@ -133,27 +137,42 @@ def _load_config(path: str | None) -> dict:
 
 def _resolve(args: argparse.Namespace) -> dict:
     """The run's settings by name, each from its flag, else the config,
-    else its default, plus the ``removal`` model per size class and the
-    carbon ``constant`` that they make.  A value that makes no valid model
-    is a usage error."""
+    else its default, and the records the command takes from them: the
+    ``removal`` model per size class, the carbon ``constant``, and its
+    ``spec``, ``params`` or ``census``.  A value that a record or the
+    horizon check refuses is a usage error, here and nowhere else."""
     config = _load_config(args.config)
     settings = {}
     for name, _, _, default, _ in _SETTINGS:
         flag = getattr(args, name, None)
         settings[name] = config.get(name, default) if flag is None else flag
+    command, horizon, start = args.command, settings["horizon"], 0.0
     try:
         tall = RemovalModel(settings["p_tall"])
         medium_shrub = RemovalModel(settings["p_medium_shrub"])
         factors = CarbonFactors(**{name: settings[name] for name in CarbonFactors._fields})
         settings["constant"] = carbon_constant(factors)
+        if command in ("estimate", "breakdown"):
+            spec = species(args.wood, args.size, continuous_cap=args.continuous_cap)
+            settings["spec"], start = spec, spec.domain_start
+        _check_horizon(horizon, start)  # past the spec's first age, or past 0 without one
+        if command == "portfolio":
+            settings["params"] = ProjectParams(
+                horizon, args.emissions, args.steward_years, CreditMode(args.credit_mode)
+            )
+        elif command == "derive-p":
+            settings["census"] = CensusInput(
+                args.stock, args.lifespan, args.census_horizon, args.storm_felled
+            )
     except CanopyError as exc:
         raise _UsageError(str(exc)) from exc
+    if command == "fit" and (args.measurements is None) == (args.reference is None):
+        raise _UsageError("give either a measurements file or --reference")
+    if command == "fit" and args.reference is not None and args.wood is not None:
+        raise _UsageError("--wood selects rows of a measurements file, not of --reference")
     settings["removal"] = {
         SizeClass.TALL: tall, SizeClass.MEDIUM: medium_shrub, SizeClass.SHRUB: medium_shrub,
     }
-    horizon = settings["horizon"]
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise _UsageError(f"horizon must be positive and finite, got {horizon}")
     return settings
 
 
@@ -248,15 +267,11 @@ def _emit(
             handle.write(text)
 
 
-def _absorption(args: argparse.Namespace, settings: dict):
-    """Evaluate one planted tree, the step that estimate and breakdown
-    share.  Returns the diameter model, the report and the payload fields
-    that both commands print first."""
-    spec = species(args.wood, args.size, continuous_cap=args.continuous_cap)
-    try:
-        _check_horizon(spec, settings["horizon"])
-    except DomainError as exc:  # a conifer's horizon at or below its start
-        raise _UsageError(str(exc)) from exc
+def _absorption(settings: dict):
+    """Evaluate the run's one planted tree, the step that estimate and
+    breakdown share.  Returns the diameter model, the report and the
+    payload fields that both commands print first."""
+    spec = settings["spec"]
     model = default_diameter_models()[spec.wood]
     report = expected_absorption(
         spec, model, settings["removal"][spec.size], settings["constant"],
@@ -272,7 +287,7 @@ def _absorption(args: argparse.Namespace, settings: dict):
 
 
 def _cmd_estimate(args: argparse.Namespace, settings: dict) -> None:
-    model, report, head = _absorption(args, settings)
+    model, report, head = _absorption(settings)
     h = height(report.spec, report.horizon)
     payload = {
         **head,
@@ -287,7 +302,7 @@ def _cmd_estimate(args: argparse.Namespace, settings: dict) -> None:
 
 
 def _cmd_breakdown(args: argparse.Namespace, settings: dict) -> None:
-    _, report, head = _absorption(args, settings)
+    _, report, head = _absorption(settings)
     payload = {
         **head,
         "segments": [
@@ -314,15 +329,7 @@ def _cmd_breakdown(args: argparse.Namespace, settings: dict) -> None:
 
 
 def _cmd_portfolio(args: argparse.Namespace, settings: dict) -> None:
-    try:
-        params = ProjectParams(
-            horizon=settings["horizon"],
-            project_emissions=args.emissions,
-            steward_years=args.steward_years,
-            credit_mode=CreditMode(args.credit_mode),
-        )
-    except ValidationError as exc:
-        raise _UsageError(str(exc)) from exc
+    params = settings["params"]
     cohorts = load_inventory(args.inventory)
     if args.continuous_cap:
         specs = {c.spec for c in cohorts}
@@ -355,15 +362,7 @@ def _cmd_portfolio(args: argparse.Namespace, settings: dict) -> None:
 
 
 def _cmd_derive_p(args: argparse.Namespace, settings: dict) -> None:
-    try:
-        census = CensusInput(
-            standing_stock=args.stock,
-            assumed_lifespan=args.lifespan,
-            horizon=args.census_horizon,
-            storm_felled=args.storm_felled,
-        )
-    except ValidationError as exc:
-        raise _UsageError(str(exc)) from exc
+    census = settings["census"]
     model = derive_removal_probability(census)
     payload = {
         "standing_stock": census.standing_stock,
@@ -378,11 +377,7 @@ def _cmd_derive_p(args: argparse.Namespace, settings: dict) -> None:
 
 
 def _cmd_fit(args: argparse.Namespace, settings: dict) -> None:
-    if (args.measurements is None) == (args.reference is None):
-        raise _UsageError("give either a measurements file or --reference")
     if args.reference is not None:
-        if args.wood is not None:
-            raise _UsageError("--wood selects rows of a measurements file, not of --reference")
         wood = WoodType(args.reference)
         points = [(m.height, m.diameter) for m in reference_tables()[wood]]
     else:

@@ -427,12 +427,12 @@ def _cap_boundary(spec: SpeciesSpec) -> float:
     return at
 
 
-def _check_horizon(spec: SpeciesSpec, horizon: float) -> None:
-    """The one horizon check of the library: finite and past the start."""
+def _check_horizon(horizon: float, start: float) -> None:
+    """The package's one horizon check: finite and past ``start``."""
     if not math.isfinite(horizon):
         raise DomainError(f"horizon must be finite, got {horizon}")
-    if horizon <= spec.domain_start:
-        raise DomainError(f"horizon must exceed domain start {spec.domain_start}")
+    if horizon <= start:
+        raise DomainError(f"horizon must exceed domain start {start}")
 
 
 def integration_segments(
@@ -454,7 +454,7 @@ def integration_segments(
     Raises:
         DomainError: If ``horizon`` is not finite or ``<= spec.domain_start``.
     """
-    _check_horizon(spec, horizon)
+    _check_horizon(horizon, spec.domain_start)
     upper = horizon - 1.0
     if upper <= spec.domain_start:
         return ()

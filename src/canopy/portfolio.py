@@ -150,7 +150,6 @@ def evaluate_portfolio(
         return removal.default_removal_model(size)
 
     steward_years, horizon = params.steward_years, params.horizon
-    allocate_steward_share(0.0, steward_years, horizon)  # its checks, once for all shares
     survivor_only = params.credit_mode is CreditMode.SURVIVOR_ONLY
     reports: dict[SpeciesSpec, carbon.AbsorptionReport] = {}
     results = []

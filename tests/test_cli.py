@@ -9,8 +9,13 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from canopy import ValidationError, default_breakpoints, fit_piecewise_linear, load_measurements
+from canopy import (
+    CanopyError, CarbonFactors, CensusInput, ProjectParams, RemovalModel, ValidationError,
+    all_species, carbon_constant, default_breakpoints, default_carbon_factors,
+    fit_piecewise_linear, load_measurements,
+)
 from canopy.cli import _FORMATS, _SETTINGS, _column, _json_dumps, _num, main
+from canopy.growth import _check_horizon
 
 from reference_values import CONIFER_FIT_ORACLE
 
@@ -317,6 +322,23 @@ class TestNonFiniteInput:
         inventory.write_text("label,wood,size,count\nstreet-A,conifer,tall,1\n")
         argv = ["portfolio", str(inventory), "--horizon", horizon, "--steward-years", "0"]
         assert run(capsys, *argv) == (1, "", err)
+
+    @pytest.mark.parametrize("argv,config,code", [
+        (["portfolio", "missing.csv", "--emissions", "nan"], None, 2),
+        (["fit", "missing.csv"], {"horizon": -1}, 2),
+        (["portfolio", "missing.csv"], None, 1),
+    ])
+    def test_flags_are_refused_before_the_file_is_opened(
+        self, capsys, tmp_path, monkeypatch, argv, config, code
+    ):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            argv = [*argv, "--config", "config.json"]
+        result, out, err = run(capsys, *argv)
+        assert (result, out) == (code, "")
+        # a refused flag names itself; only a run that gets past them opens the file
+        assert ("No such file" in err) == (code == 1), err
 
     def test_json_never_prints_nan(self):
         from canopy.cli import _json_dumps
@@ -801,3 +823,76 @@ def test_any_settings_exit_cleanly_without_non_finite_output(workdir, run_):
     else:
         # fit marks its open last segment's upper bound as inf
         assert tokens == (["inf"] if command == "fit" else [])
+
+
+FACTORS = {name: getattr(default_carbon_factors(), name) for name in CarbonFactors._fields}
+# derive-p's census as command_argv gives it, by CensusInput field
+CENSUS = {"standing_stock": 6670000.0, "assumed_lifespan": 35.0, "horizon": 15.0,
+          "storm_felled": 0.0}
+
+
+def _setting_record(name):
+    """What a run builds from setting ``name``: ``build(value, command, spec)``."""
+    if name == "horizon":
+        def build(value, command, spec):
+            _check_horizon(value, 0.0 if spec is None else spec.domain_start)
+            if command == "portfolio":
+                ProjectParams(horizon=value)
+        return build
+    if name in FACTORS:
+        return lambda value, *_: carbon_constant(CarbonFactors(**{**FACTORS, name: value}))
+    return lambda value, *_: RemovalModel(value)
+
+
+# every numeric setting a command reads: (commands, flag or None, config key or None, build)
+NUMERIC_SETTINGS = [
+    *[(MODEL_COMMANDS, flag, None, _setting_record(name))
+      for name, flag, kind, _, _ in _SETTINGS if kind is float],
+    *[(COMMANDS, None, name, _setting_record(name))
+      for name, _, kind, _, _ in _SETTINGS if kind is float],
+    *[(("portfolio",), flag, None, lambda value, *_, field=field: ProjectParams(**{field: value}))
+      for flag, field in (("--emissions", "project_emissions"),
+                          ("--steward-years", "steward_years"))],
+    *[(("derive-p",), flag, None,
+       lambda value, *_, field=field: CensusInput(**{**CENSUS, field: value}))
+      for flag, field in (("--stock", "standing_stock"), ("--lifespan", "assumed_lifespan"),
+                          ("--horizon", "horizon"), ("--storm-felled", "storm_felled"))],
+]
+
+
+@st.composite
+def one_setting_runs(draw):
+    """A valid run of a command with one numeric setting, by flag or by
+    config key, set to any float.  Returns the command, its extra flags,
+    the config, the value, the spec the run takes (or None) and the
+    builder of the record the value feeds."""
+    commands, flag, key, build = draw(st.sampled_from(NUMERIC_SETTINGS))
+    command = draw(st.sampled_from(commands))
+    # any float, and half the time one near the typical scale of a setting
+    value = draw(st.floats() | st.floats(min_value=-1.0, max_value=200.0))
+    argv, spec = ([f"{flag}={value!r}"] if flag else []), None
+    if command in ("estimate", "breakdown"):
+        spec = draw(st.sampled_from(all_species()))
+        argv += ["--wood", spec.wood.value, "--size", spec.size.value]
+    return command, argv, ({} if flag else {key: value}), value, spec, build
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_=one_setting_runs())
+def test_a_value_a_record_refuses_is_a_usage_error(workdir, run_):
+    """The one exit-code rule: a value that the record it feeds refuses
+    exits 2 with that record's message and prints nothing else; a value
+    that the record accepts does not exit 2."""
+    command, extra, config, value, spec, build = run_
+    config_path = workdir / "setting.json"
+    config_path.write_text(json.dumps(config))
+    argv = command_argv(command, workdir) + extra + ["--config", str(config_path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    try:
+        build(value, command, spec)
+    except CanopyError as exc:
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", f"canopy: error: {exc}\n")
+    else:
+        assert code != 2, err.getvalue()
