@@ -23,7 +23,7 @@ import math
 from typing import Callable
 
 from . import growth
-from .errors import DomainError, Record, ValidationError, require_finite
+from .errors import DomainError, Record, ValidationError, everywhere, require_finite
 from .growth import DiameterModel, Numeric, SpeciesSpec, TimeSegment, _namespace
 from .quadrature import integrate
 from .removal import RemovalModel, removed_fraction, survival_fraction
@@ -146,9 +146,12 @@ def stored_co2(
     """
     h = growth.height(spec, t)
     try:
-        return _cylinder(h, growth.diameter_from_height(model, h), constant.c)
+        store = _cylinder(h, growth.diameter_from_height(model, h), constant.c)
     except OverflowError:
-        raise DomainError(_OVERFLOW) from None
+        store = math.inf
+    if not everywhere(store < math.inf):  # an infinite diameter squares without raising
+        raise DomainError(_OVERFLOW)
+    return store
 
 
 def segment_integrand(
@@ -170,8 +173,7 @@ def segment_integrand(
     """
     growth.uncapped_height(spec, segment.t_lo)  # the piece's one domain check
     diameter, p, log_q, c = segment.diameter_segment.diameter, removal.p, removal.log_q, constant.c
-    held = growth.height(spec, segment.t_hi)  # the height throughout a held piece
-    curve = (lambda t: held) if segment.on_cap else spec.curve
+    curve = (lambda t: spec.held_height) if segment.on_cap else spec.curve
 
     def f(t: Numeric) -> Numeric:
         h = curve(t)
@@ -185,11 +187,15 @@ def _absorbed(
 ) -> float:
     """In-process absorption over one piece.  Where height is held the store S
     is constant, so the integral is exactly ``p S q^lo (1 - q^(hi - lo)) / -ln q``
-    with ``q = 1 - p``; only a growth-branch piece goes to the quadrature."""
+    with ``q = 1 - p``; only a growth-branch piece goes to the quadrature.
+    The store is largest at the piece's top, so a finite store there bounds
+    the integrand; raises DomainError if it is not finite."""
+    top = spec.held_height if piece.on_cap else spec.curve(piece.t_hi)
+    store = _cylinder(top, piece.diameter_segment.diameter(top), constant.c)
+    if not store < math.inf:
+        raise DomainError(_OVERFLOW)
     if not piece.on_cap:
         return integrate(segment_integrand(spec, piece, removal, constant), piece.t_lo, piece.t_hi)
-    held = growth.height(spec, piece.t_hi)
-    store = _cylinder(held, piece.diameter_segment.diameter(held), constant.c)
     span = removed_fraction(removal, piece.t_hi - piece.t_lo) / -removal.log_q
     return removal.p * store * survival_fraction(removal, piece.t_lo) * span
 

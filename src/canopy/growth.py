@@ -158,6 +158,8 @@ class SpeciesSpec(Record):
         curve, inverse, sup_height: The bare growth branch H(t) for a float
             or ndarray ``t``, its inverse for a float height, both unchecked
             (see :func:`uncapped_height`), and its supremum (``inf`` for shrubs).
+        held_height: Height held from the held age on: ``cap_height``, or
+            for a tall tree ``sup_height``.
     """
 
     wood: WoodType
@@ -174,6 +176,8 @@ class SpeciesSpec(Record):
             (*_CAP_BY_SIZE[self.size], start, *_CURVES[family]),
         ):
             object.__setattr__(self, name, value)
+        held = self.sup_height if self.cap_height is None else self.cap_height
+        object.__setattr__(self, "held_height", held)
 
     def __reduce__(self):  # the derived curves do not pickle; the fields rebuild them
         return SpeciesSpec, (self.wood, self.size, self.continuous_cap)
@@ -345,12 +349,11 @@ def height(spec: SpeciesSpec, t: Numeric) -> Numeric:
             ``1 - e^(-0.00592 (t-1))`` turns negative).
     """
     curve = uncapped_height(spec, t)
-    held = spec.sup_height if spec.cap_height is None else spec.cap_height
     on_cap = t >= _cap_boundary(spec)
     if on_cap.__class__ is bool or on_cap.ndim == 0:
-        return held if on_cap else curve
+        return spec.held_height if on_cap else curve
     out = curve.copy()
-    out[on_cap] = held
+    out[on_cap] = spec.held_height
     return out
 
 
@@ -445,8 +448,10 @@ def integration_segments(
     Cuts are placed wherever H(t) crosses a diameter-segment boundary on
     the growth branch, and at the age from which height is held; each piece
     is labelled with the active diameter rule and whether height follows the
-    growth branch, sits on the cap or is saturated.  Crossing times are
-    recomputed via :func:`time_at_height`, not hard-coded.
+    growth branch, sits on the cap or is saturated.  Crossing ages come from
+    each curve's closed-form inverse (``spec.inverse``), not hard-coded; a
+    crossing within ``_BOUNDARY_EPS`` of an earlier cut, of the held age or
+    of ``horizon - 1`` is dropped.
 
     Returns an empty tuple when ``horizon - 1 <= domain_start`` (no
     in-process interval to integrate).
@@ -458,41 +463,24 @@ def integration_segments(
     upper = horizon - 1.0
     if upper <= spec.domain_start:
         return ()
-    cap_t = _cap_boundary(spec)
-    growth_end = min(cap_t, upper)
-
-    cuts: list[float] = []
-    for seg in model.segments[1:]:
-        try:
-            t_cross = time_at_height(spec, seg.h_lo)
-        except RangeError:
-            continue
-        if spec.domain_start + _BOUNDARY_EPS < t_cross < growth_end - _BOUNDARY_EPS:
-            cuts.append(t_cross)
-    if spec.domain_start + _BOUNDARY_EPS < cap_t < upper - _BOUNDARY_EPS:
-        cuts.append(cap_t)
-
+    held_from = _cap_boundary(spec)
+    # a boundary below the held age's curve height is crossed on the growth
+    # branch, even above a snapped cap height
+    h_start, h_held = spec.curve(spec.domain_start), spec.curve(held_from)
+    top = min(held_from, upper) - _BOUNDARY_EPS
     bounds = [spec.domain_start]
-    for cut in sorted(cuts):
-        if cut - bounds[-1] > _BOUNDARY_EPS:
+    for cut in sorted(spec.inverse(s.h_lo) for s in model.segments[1:] if h_start < s.h_lo < h_held):
+        if cut - bounds[-1] > _BOUNDARY_EPS and cut < top:
             bounds.append(cut)
-    bounds.append(upper)
+    bounds += [held_from, upper] if held_from < upper - _BOUNDARY_EPS else [upper]
 
+    held = "saturated height" if spec.cap_height is None else "capped height"
     pieces = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo, hi in zip(bounds, bounds[1:]):
         mid = 0.5 * (lo + hi)
-        on_cap = mid >= cap_t
-        h_mid = height(spec, mid)
+        on_cap = mid >= held_from
+        h_mid = spec.held_height if on_cap else spec.curve(mid)
         seg = next(s for s in model.segments if s.covers(h_mid))
-        held = "saturated height" if spec.cap_height is None else "capped height"
         branch = held if on_cap else "growth branch"
-        pieces.append(
-            TimeSegment(
-                t_lo=lo,
-                t_hi=hi,
-                label=f"{seg.describe()}, {branch}",
-                diameter_segment=seg,
-                on_cap=on_cap,
-            )
-        )
+        pieces.append(TimeSegment(lo, hi, f"{seg.describe()}, {branch}", seg, on_cap))
     return tuple(pieces)

@@ -109,8 +109,7 @@ class PortfolioReport(Record):
 
 def allocate_steward_share(total: float, steward_years: float, horizon: float) -> float:
     """Linear time share ``total * steward_years / horizon`` of a credit."""
-    if horizon <= 0.0:
-        raise DomainError("horizon must be positive")
+    growth._check_horizon(horizon, 0.0)
     if not 0.0 <= steward_years <= horizon:
         raise DomainError(f"steward_years must lie in [0, {horizon}]")
     return total * steward_years / horizon

@@ -166,18 +166,25 @@ class TestStoredCo2:
 
     @pytest.mark.parametrize("size", list(SizeClass))
     def test_overflowing_store_is_domain_error(self, constant, size):
-        # a caller's model may square a diameter past the float range
+        # a caller's model may square a diameter past the float range (1e200),
+        # make the diameter itself infinite (1e306), or leave an infinite
+        # diameter in a segment that does not cover the height (0 * inf)
         spec = species("evergreen", size)
-        model = DiameterModel(None, (DiameterSegment(0.0, None, 1e200, 0.0),))
         removal = default_removal_model(size)
-        calls = [
-            lambda: stored_co2(spec, model, constant, 50.0),
-            lambda: creditable_absorption(spec, model, removal, constant, 50.0),
-            lambda: expected_absorption(spec, model, removal, constant, 50.0),
-        ]
-        for call in calls:
-            with pytest.raises(DomainError, match="^stored CO2 overflows the float range$"):
-                call()
+        for rows in [
+            ((0.0, None, 1e200, 0.0),),
+            ((0.0, None, 1e306, 0.0),),
+            ((0.0, 300.0, 1e305, 0.0), (300.0, None, 1e306, 0.0)),
+        ]:
+            model = DiameterModel(None, tuple(DiameterSegment(*row) for row in rows))
+            calls = [
+                lambda: stored_co2(spec, model, constant, 50.0),
+                lambda: creditable_absorption(spec, model, removal, constant, 50.0),
+                lambda: expected_absorption(spec, model, removal, constant, 50.0),
+            ]
+            for call in calls:
+                with pytest.raises(DomainError, match="^stored CO2 overflows the float range$"):
+                    call()
 
 
 class TestCreditable:

@@ -605,6 +605,13 @@ class TestFit:
         out, err = capsys.readouterr()
         assert out == "" and err.endswith(f"error: argument --breakpoints: {rule.value}\n")
 
+    def test_unparsable_breakpoints_are_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fit", "--reference", "conifer", "--breakpoints", "abc"])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("error: argument --breakpoints: bad breakpoint list 'abc'\n")
+
     def test_needs_source(self, capsys):
         code, _, err = run(capsys, "fit")
         assert code == 2
@@ -699,12 +706,22 @@ class TestConfig:
         )
         assert code == 2
 
-    def test_missing_config_is_usage_error(self, capsys):
+    def test_missing_config_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "estimate", "--wood", "evergreen", "--size", "tall",
             "--config", "/nonexistent/config.json",
         )
         assert code == 2
+        # a config that is not JSON, or not a JSON object
+        config = tmp_path / "config.json"
+        for text, message in [("{", "is not valid JSON"), ("[0.05]", "must hold a JSON object")]:
+            config.write_text(text)
+            code, out, err = run(
+                capsys, "estimate", "--wood", "evergreen", "--size", "tall",
+                "--config", str(config),
+            )
+            assert (code, out) == (2, "")
+            assert err.startswith(f"canopy: error: config {config} {message}")
 
     def test_non_numeric_config_value_is_usage_error(self, capsys, tmp_path):
         config = tmp_path / "config.json"
@@ -715,6 +732,12 @@ class TestConfig:
         )
         assert code == 2
         assert "must be a number" in err
+        config.write_text(json.dumps({"output": 3}))
+        code, out, err = run(
+            capsys, "estimate", "--wood", "evergreen", "--size", "tall",
+            "--config", str(config),
+        )
+        assert (code, out, err) == (2, "", "canopy: error: config key output must be a string\n")
 
     def test_carbon_factor_flags(self, capsys):
         _, out, _ = run(

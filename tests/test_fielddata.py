@@ -155,6 +155,9 @@ class TestLoadMeasurements:
         path.write_text("wood,circumference\nevergreen,11\n")
         with pytest.raises(ParseError):
             load_measurements(path)
+        path.write_text("wood,height_cm\nevergreen,250\n")
+        with pytest.raises(ParseError, match="^header needs a girth_cm or diameter_cm column$"):
+            load_measurements(path)
 
     def test_short_row_reads_missing_optional_cells_as_empty(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -444,6 +447,11 @@ class TestFit:
         order.shuffle(points)
         result = fit_piecewise_linear(points, [250.0, 300.0], wood=WoodType.EVERGREEN)
         assert result == expected and repr(result) == repr(expected)
+
+    def test_negative_height(self):
+        points = [(-1.0, 0.5), (90.0, 2.0), (110.0, 5.0), (200.0, 8.0)]
+        with pytest.raises(ValidationError, match="^heights must be nonnegative$"):
+            fit_piecewise_linear(points, [100.0])
 
     def test_decreasing_data_violates_model(self):
         points = [(10.0, 5.0), (50.0, 4.0), (90.0, 3.0)]

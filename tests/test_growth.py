@@ -5,6 +5,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from canopy import (
     DiameterModel,
@@ -26,8 +27,10 @@ from canopy import (
     time_at_height,
 )
 from canopy.growth import (
+    _BOUNDARY_EPS,
     MEDIUM_CAP_HEIGHT_CM,
     MEDIUM_CAP_TIME_YEARS,
+    SHRUB_CAP_HEIGHT_CM,
     SHRUB_CAP_TIME_YEARS,
     _cap_boundary,
     uncapped_height,
@@ -245,6 +248,12 @@ class TestDiameter:
             DiameterModel(None, (seg(10.0, None, 0.01, 0.0),))
         with pytest.raises(ValidationError):  # must end open
             DiameterModel(None, (seg(0.0, 100.0, 0.01, 0.0),))
+        with pytest.raises(ValidationError, match="^diameter model needs at least one segment$"):
+            DiameterModel(None, ())
+        with pytest.raises(ValidationError, match="^empty segment at height 100.0$"):
+            DiameterModel(None, (
+                seg(0.0, 100.0, 0.01, 0.0), seg(100.0, 100.0, 0.01, 0.0), seg(100.0, None, 0.01, 0.0),
+            ))
 
     @pytest.mark.parametrize(
         "field,row",
@@ -349,7 +358,75 @@ class TestSpecies:
             SpeciesSpec(wood, size)
 
 
+def _ulps(x, k):
+    """``x`` moved ``k`` ulps (up for positive ``k``)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+_SPECS18 = [species(w, s, continuous_cap=c) for w in WoodType for s in SizeClass for c in (False, True)]
+# the highest growth-branch height a capped curve reaches: a snapped medium
+# curve stands above 850 cm at the cap age
+_TOP_CAPPED = max(s.curve(s.cap_time) for s in _SPECS18 if s.cap_time is not None)
+
+_BOUNDARY_HEIGHTS = st.one_of(
+    st.floats(1.0, 34.0),  # below the conifer curve's start height
+    st.floats(35.0, 2499.0),  # inside the growth range
+    st.floats(MEDIUM_CAP_HEIGHT_CM, _TOP_CAPPED),  # above the cap, below a snapped curve
+    st.builds(_ulps, st.sampled_from([MEDIUM_CAP_HEIGHT_CM, SHRUB_CAP_HEIGHT_CM]), st.integers(-4, 4)),
+    st.floats(5506.0, 9000.0, exclude_min=True),  # above every supremum
+)
+
+
+@st.composite
+def _caller_models(draw):
+    """A caller's model with one to four boundaries of the kinds above."""
+    heights = sorted(set(draw(st.lists(_BOUNDARY_HEIGHTS, min_size=1, max_size=4))))
+    edges = [0.0, *heights, None]
+    slopes = draw(st.lists(st.floats(0.001, 0.06), min_size=len(heights) + 1, max_size=len(heights) + 1))
+    return DiameterModel(None, tuple(
+        DiameterSegment(lo, hi, slope, 1.0) for lo, hi, slope in zip(edges, edges[1:], slopes)
+    ))
+
+
 class TestIntegrationSegments:
+    @settings(max_examples=300, deadline=None)
+    @given(spec=st.sampled_from(_SPECS18), model=_caller_models(), data=st.data())
+    def test_walk_cuts_each_crossing_once(self, spec, model, data):
+        start, held_from = spec.domain_start, _cap_boundary(spec)
+        # any horizon, or one whose last cut lies within a few _BOUNDARY_EPS of the held age
+        near_held = st.builds(_ulps, st.just(held_from + 1.0), st.integers(-3000, 3000))
+        horizon = data.draw(st.floats(start, 1e4, exclude_min=True) | near_held, label="horizon")
+        pieces = integration_segments(spec, model, horizon)
+        upper = horizon - 1.0
+        if upper <= start:
+            assert pieces == ()
+            return
+        # the pieces tile [start, horizon - 1], each wider than _BOUNDARY_EPS
+        # unless it is the only one
+        assert pieces[0].t_lo == start and pieces[-1].t_hi == upper
+        assert all(a.t_hi == b.t_lo for a, b in zip(pieces, pieces[1:]))
+        assert all(p.t_hi - p.t_lo > _BOUNDARY_EPS for p in pieces) or len(pieces) == 1
+        for p in pieces:
+            mid = 0.5 * (p.t_lo + p.t_hi)
+            assert p.on_cap == (mid >= held_from)
+            assert p.diameter_segment.covers(height(spec, mid))
+            assert p.label.endswith("growth branch") != p.on_cap
+        # a boundary crossed on the growth branch, clear of every other cut, is a bound
+        crossings = []
+        for seg in model.segments[1:]:
+            try:
+                crossings.append(time_at_height(spec, seg.h_lo))
+            except RangeError:  # below the curve's start or at/above its supremum
+                pass
+        cuts = [start, upper, *([held_from] if held_from < upper else []), *crossings]
+        lows = {p.t_lo for p in pieces}
+        for t in crossings:
+            clear = sum(abs(t - c) <= _BOUNDARY_EPS for c in cuts) == 1
+            if start < t < min(held_from, upper) and clear:
+                assert t in lows
+
     @pytest.mark.parametrize("wood,size", list(BOUNDARIES))
     def test_boundaries_match_published(self, models, wood, size):
         spec = species(wood, size)
