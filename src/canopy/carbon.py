@@ -232,8 +232,8 @@ class AbsorptionReport(Record):
     """Per-tree absorption over the horizon, segment by segment.
 
     ``expected_total`` always equals the segment sum plus ``creditable``;
-    the constructor enforces this to 1e-9 relative along with
-    nonnegativity and ``creditable <= expected_total``.
+    the constructor enforces this to 1e-9 relative along with finite
+    values, nonnegativity and ``creditable <= expected_total``.
     """
 
     spec: SpeciesSpec
@@ -244,17 +244,16 @@ class AbsorptionReport(Record):
     expected_total: float
 
     def __post_init__(self):
-        if self.creditable < 0.0 or any(s.value < 0.0 for s in self.segments):
-            raise ValidationError("absorption values must be nonnegative")
-        total = math.fsum([s.value for s in self.segments] + [self.creditable])
+        require_finite("absorption report", p=self.p, horizon=self.horizon,
+                       expected_total=self.expected_total)
+        values = [s.value for s in self.segments] + [self.creditable]
+        if not all(0.0 <= value < math.inf for value in values):
+            raise ValidationError("absorption values must be nonnegative and finite")
+        total = math.fsum(values)
         if abs(total - self.expected_total) > 1e-9 * abs(self.expected_total):
             raise ValidationError("segment sum does not reproduce expected_total")
         if self.creditable > self.expected_total:
             raise ValidationError("creditable term exceeds expected total")
-
-    @property
-    def in_process_total(self) -> float:
-        return math.fsum(s.value for s in self.segments)
 
 
 def expected_absorption(

@@ -116,7 +116,7 @@ def _load_config(path: str | None) -> dict:
             raw = json.load(handle, parse_int=float)
     except OSError as exc:
         raise _UsageError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise _UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise _UsageError(f"config {path} must hold a JSON object")

@@ -99,6 +99,7 @@ _CHUNK_ROWS = 4096
 def _read_table(
     path: str | Path,
     parse: Callable[..., list],
+    row: Callable[..., object],
     required: Sequence[str],
     optional: Sequence[str] = (),
 ) -> list:
@@ -107,18 +108,20 @@ def _read_table(
 
     ``parse`` gets a chunk's stripped cells as columns, one list for each
     ``required`` column, then each ``optional`` one (a cell the header or
-    the row lacks reads as ""), and returns the chunk's records or raises.
-    A chunk that raises is passed again a row at a time, only to find the
-    row that raises first.  ``#``-prefixed and blank lines are skipped, a
-    leading byte-order mark is ignored, header names are stripped and
-    lower-cased, and a repeated name means its first column.  An empty
-    file has no rows.
+    the row lacks reads as ""), and returns the chunk's records or raises
+    KeyError or ValueError.  Only then does ``row`` get each row's cells
+    in turn: it returns the row's record, which the chunk keeps (None
+    leaves the row out), or raises.
+    ``#``-prefixed and blank lines are skipped, a leading byte-order mark
+    is ignored, header names are stripped and lower-cased, and a repeated
+    name means its first column.  An empty file has no rows.
 
     Raises:
-        ParseError: If the header lacks a ``required`` column or names
-            none of the ``optional`` ones, or a row is too short for a
-            required column.
-        CanopyError: Whatever ``parse`` raises.  An error that a data row
+        ParseError: If the file is not UTF-8 text or holds a field past
+            the csv module's size limit, the header lacks a ``required``
+            column or names none of the ``optional`` ones, or a row is
+            too short for a required column.
+        CanopyError: Whatever ``row`` raises.  An error that a data row
             raises gets its 1-based number as ``row`` and a ``row N: `` prefix.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
@@ -126,43 +129,47 @@ def _read_table(
             line for line in csv.reader(handle)
             if "".join(line).strip() and not line[0].lstrip().startswith("#")
         )
-        header = [cell.strip().lower() for cell in next(lines, ())]
-        if not header:
-            return []
-        for name in required:
-            if name not in header:
-                raise ParseError(f"missing column {name!r} in header")
-        if optional and not any(name in header for name in optional):
-            raise ParseError(f"header needs a {' or '.join(optional)} column")
-        # an optional column the header lacks points one past its end
-        positions = [header.index(n) if n in header else len(header) for n in (*required, *optional)]
+        try:
+            header = [cell.strip().lower() for cell in next(lines, ())]
+            if not header:
+                return []
+            for name in required:
+                if name not in header:
+                    raise ParseError(f"missing column {name!r} in header")
+            if optional and not any(name in header for name in optional):
+                raise ParseError(f"header needs a {' or '.join(optional)} column")
+            # an optional column the header lacks points one past its end
+            positions = [header.index(n) if n in header else len(header) for n in (*required, *optional)]
 
-        def parse_rows(rows: list[list[str]]) -> list:
-            shortest, longest = min(map(len, rows)), max(map(len, rows))
-            for name, pos in zip(required, positions):
-                if pos >= shortest:
-                    raise ParseError(f"missing {name} value")
-            return parse(*[
-                list(map(str.strip, map(itemgetter(pos), rows))) if pos < shortest
-                else [""] * len(rows) if pos >= longest
-                else [row[pos].strip() if pos < len(row) else "" for row in rows]
-                for pos in positions
-            ])
+            def columns(rows: list[list[str]]) -> list[list[str]]:
+                shortest, longest = min(map(len, rows)), max(map(len, rows))
+                for name, pos in zip(required, positions):
+                    if pos >= shortest:
+                        raise ParseError(f"missing {name} value")
+                return [
+                    list(map(str.strip, map(itemgetter(pos), rows))) if pos < shortest
+                    else [""] * len(rows) if pos >= longest
+                    else [line[pos].strip() if pos < len(line) else "" for line in rows]
+                    for pos in positions
+                ]
 
-        records, first = [], 1
-        while chunk := list(islice(lines, _CHUNK_ROWS)):
-            try:
-                records += parse_rows(chunk)
-            except CanopyError:
-                for row_number, line in enumerate(chunk, start=first):
-                    try:
-                        parse_rows([line])
-                    except CanopyError as exc:
-                        exc.row, exc.args = row_number, (f"row {row_number}: {exc}",)
-                        raise exc from None
-                raise
-            first += len(chunk)
-        return records
+            records, first = [], 1
+            while chunk := list(islice(lines, _CHUNK_ROWS)):
+                try:
+                    records += parse(*columns(chunk))
+                except (KeyError, ValueError):
+                    for number, line in enumerate(chunk, start=first):
+                        try:
+                            record = row(*[column[0] for column in columns([line])])
+                        except CanopyError as exc:
+                            exc.row, exc.args = number, (f"row {number}: {exc}",)
+                            raise exc from None
+                        if record is not None:
+                            records.append(record)
+                first += len(chunk)
+            return records
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ParseError(f"cannot read {path}: {exc}") from None
 
 
 def _number(text: str, column: str, kind: type = float):
@@ -191,25 +198,19 @@ def _measurements(
     keep: WoodType | None, wood: list, height: list, girth: list, diameter: list
 ) -> list[tuple]:
     """A chunk's checked (wood, height, girth, diameter) rows of wood ``keep``
-    (all, if None); the first row of any wood that fails :func:`_measurement`
-    raises its error."""
+    (all, if None), or KeyError or ValueError if a row might fail :func:`_measurement`."""
     given = list(map(bool, girth))
-    try:
-        woods = list(map(_MEMBERS[WoodType].__getitem__, map(str.lower, wood)))
-        heights = list(map(float, height))
-        # a row gives one of girth and diameter (checked below), so g + d is that one
-        sizes = list(map(float, map(add, girth, diameter)))
-        # a girth so small that its diameter rounds to 0 fails as well
-        girths = list(compress(sizes, given))
-        if any(map(is_, given, map(bool, diameter))) or not (
-            _positive_finite(heights) and _positive_finite(sizes)
-            and min(girths, default=GIRTH_PI) / GIRTH_PI > 0.0
-        ):
-            raise ValueError
-    except (KeyError, ValueError):
-        # the first bad row raises; good rows whose heights sum to inf pass
-        made = map(_measurement, wood, height, girth, diameter)
-        return [(m.wood, m.height, m.girth, m.diameter) for m in made if keep in (None, m.wood)]
+    woods = list(map(_MEMBERS[WoodType].__getitem__, map(str.lower, wood)))
+    heights = list(map(float, height))
+    # a row gives one of girth and diameter (checked below), so g + d is that one
+    sizes = list(map(float, map(add, girth, diameter)))
+    # a girth so small that its diameter rounds to 0 fails as well
+    girths = list(compress(sizes, given))
+    if any(map(is_, given, map(bool, diameter))) or not (
+        _positive_finite(heights) and _positive_finite(sizes)
+        and min(girths, default=GIRTH_PI) / GIRTH_PI > 0.0
+    ):
+        raise ValueError
     rows = zip(woods, heights, sizes, given)
     if keep is not None:
         rows = compress(rows, map(is_, woods, repeat(keep)))
@@ -224,8 +225,12 @@ def _survey(path: str | Path, wood: WoodType | str | None) -> list[tuple]:
     """The checked (wood, height, girth, diameter) values of the rows of
     ``wood`` in a measurement CSV, as :func:`load_measurements` reads it."""
     keep = None if wood is None else _member(WoodType, wood)
+
+    def kept(*cells: str) -> tuple | None:  # the row rule, which checks a row of any wood
+        m = _measurement(*cells)
+        return (m.wood, m.height, m.girth, m.diameter) if keep in (None, m.wood) else None
     columns = ("wood", "height_cm"), ("girth_cm", "diameter_cm")
-    return _read_table(path, partial(_measurements, keep), *columns)
+    return _read_table(path, partial(_measurements, keep), kept, *columns)
 
 
 def load_measurements(path: str | Path, wood: WoodType | str | None = None) -> list[Measurement]:
@@ -308,6 +313,7 @@ def fit_piecewise_linear(
         wood: Optional wood tag recorded on the fitted model.
 
     Raises:
+        DomainError: If a least-squares sum or square leaves the float range.
         UnderdeterminedError: If a segment holds fewer than two distinct
             heights.
         ValidationError: A non-finite height or diameter, a negative
@@ -324,24 +330,29 @@ def fit_piecewise_linear(
     bps = _breakpoints(breakpoints)
 
     segments, r2s, ss_res_total, n_assigned = [], [], [], 0
-    for lo, hi in zip([0.0, *bps], [*bps, None]):
-        # boundary rows belong to both neighbouring segments
-        first = bisect_left(heights, lo)
-        last = len(heights) if hi is None else bisect_right(heights, hi)
-        if last - first < 2 or heights[first] == heights[last - 1]:
-            upper = "inf" if hi is None else f"{hi:g}"
-            raise UnderdeterminedError(
-                f"segment [{lo:g}, {upper}) needs two distinct heights, "
-                f"has {last - first} point(s)"
-            )
-        slope, intercept, r2, ss_res = _ols(heights[first:last], diameters[first:last])
-        segments.append(DiameterSegment(lo, hi, slope, intercept))
-        r2s.append(r2)
-        ss_res_total.append(ss_res)
-        n_assigned += last - first
-
-    model = DiameterModel(wood=wood, segments=tuple(segments))
-    rms = math.sqrt(math.fsum(ss_res_total) / n_assigned)
+    try:
+        for lo, hi in zip([0.0, *bps], [*bps, None]):
+            # boundary rows belong to both neighbouring segments
+            first = bisect_left(heights, lo)
+            last = len(heights) if hi is None else bisect_right(heights, hi)
+            if last - first < 2 or heights[first] == heights[last - 1]:
+                upper = "inf" if hi is None else f"{hi:g}"
+                raise UnderdeterminedError(
+                    f"segment [{lo:g}, {upper}) needs two distinct heights, "
+                    f"has {last - first} point(s)"
+                )
+            slope, intercept, r2, ss_res = _ols(heights[first:last], diameters[first:last])
+            segments.append(DiameterSegment(lo, hi, slope, intercept))
+            r2s.append(r2)
+            ss_res_total.append(ss_res)
+            n_assigned += last - first
+        model = DiameterModel(wood=wood, segments=tuple(segments))
+        rms = math.sqrt(math.fsum(ss_res_total) / n_assigned)
+    except CanopyError:
+        raise
+    except (ArithmeticError, ValueError):
+        # a product, square or sum past the float range, or squares that underflow to 0
+        raise DomainError("the points' least-squares sums leave the float range") from None
     return FitResult(model=model, per_segment_r2=tuple(r2s), residual_rms=rms)
 
 

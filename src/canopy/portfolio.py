@@ -190,15 +190,11 @@ def _cohort(label: str, wood: str, size: str, count: str) -> PlantingCohort:
 
 
 def _cohorts(label: list, wood: list, size: list, count: list) -> list[PlantingCohort]:
-    """A chunk's cohorts; the first row that fails :func:`_cohort` raises its error."""
-    try:
-        # the spec table finds a spec by its names (see growth._SPECS)
-        keys = zip(map(str.lower, wood), map(str.lower, size), repeat(False))
-        specs = list(map(growth._SPECS.__getitem__, keys))
-        counts = list(map(int, count))
-    except (KeyError, ValueError):
-        return list(map(_cohort, label, wood, size, count))
-    return list(map(PlantingCohort, specs, counts, label))
+    """A chunk's cohorts, or KeyError or ValueError if a row might fail :func:`_cohort`."""
+    # the spec table finds a spec by its names (see growth._SPECS)
+    keys = zip(map(str.lower, wood), map(str.lower, size), repeat(False))
+    specs = list(map(growth._SPECS.__getitem__, keys))
+    return list(map(PlantingCohort, specs, map(int, count), label))
 
 
 def load_inventory(path: str | Path) -> list[PlantingCohort]:
@@ -213,4 +209,4 @@ def load_inventory(path: str | Path) -> list[PlantingCohort]:
         ValidationError: A count out of range (see :class:`PlantingCohort`).
         Each with ``row N: `` and ``row`` set if a data row raised it.
     """
-    return _read_table(path, _cohorts, ("label", "wood", "size", "count"))
+    return _read_table(path, _cohorts, _cohort, ("label", "wood", "size", "count"))

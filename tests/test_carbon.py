@@ -401,3 +401,18 @@ class TestExpectedAbsorption:
                 creditable=0.5,
                 expected_total=-0.5,
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["p", "horizon", "creditable", "expected_total", "segment"])
+    def test_report_rejects_non_finite_values(self, field, bad):
+        # a check of the invalid condition (x < 0) once let nan through
+        segment = SegmentAbsorption(t_lo=0.0, t_hi=1.0, label="x", value=1.0)
+        fields = dict(spec=species("evergreen", "tall"), p=0.5, horizon=10.0,
+                      segments=(segment,), creditable=0.5, expected_total=1.5)
+        AbsorptionReport(**fields)
+        if field == "segment":
+            fields["segments"] = (SegmentAbsorption(t_lo=0.0, t_hi=1.0, label="x", value=bad),)
+        else:
+            fields[field] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            AbsorptionReport(**fields)

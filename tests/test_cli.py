@@ -919,3 +919,63 @@ def test_a_value_a_record_refuses_is_a_usage_error(workdir, run_):
         assert (code, out.getvalue(), err.getvalue()) == (2, "", f"canopy: error: {exc}\n")
     else:
         assert code != 2, err.getvalue()
+
+
+# each kind of file a command reads: the command, with F for the file's path,
+# and byte pieces that make good files, the header first for a table
+FILE_RUNS = {
+    "inventory": (["portfolio", "F"], [
+        b"label,wood,size,count\n", b"a,evergreen,tall,3\n", b"b,Conifer,SHRUB,12\n",
+    ]),
+    "survey": (["fit", "F", "--breakpoints", "300"], [
+        b"wood,height_cm,girth_cm,diameter_cm\n", b"conifer,100,,1e200\n", b"conifer,200,,2e200\n",
+        b"conifer,300,,3e200\n", b"conifer,400,,4e200\n", b"conifer,500,,5e200\n",
+        b"conifer,250,11,\n", b"conifer,450,,12.5\n",
+    ]),
+    "config": (["estimate", "--wood", "evergreen", "--size", "tall", "--config", "F"], [
+        b"", b'{"bef": 1.5', b', "horizon": 1e200', b', "p_tall": 0.01', b"}",
+    ]),
+}
+# byte pieces that are not UTF-8, a NUL, a cell past the csv module's field
+# limit, brackets nested past the recursion limit, and values near the float range
+BAD_PIECES = [
+    b"\xff", b"\xe9", b"\x00", b",", b"\n", b'"', b"x" * 200_000, b"[" * 100_000,
+    b"]" * 100_000, b"1e200", b"5e200", b"1e308",
+]
+
+
+@st.composite
+def file_runs(draw):
+    """A command, the bytes of the file it reads and no exit code to
+    expect: its good pieces, the first of them most of the time, mixed
+    with bad ones."""
+    kind = draw(st.sampled_from(list(FILE_RUNS)))
+    good = FILE_RUNS[kind][1]
+    pieces = draw(st.lists(st.sampled_from(good) | st.sampled_from(BAD_PIECES), max_size=12))
+    return kind, draw(st.sampled_from([good[0], b""])) + b"".join(pieces), None
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_=file_runs())
+# the five kinds of file that once reached main as a traceback, and their exit codes
+@example(run_=("inventory", b"label,wood,size,count\na,evergreen,tall,\xff3\n", 1))
+@example(run_=("survey", b"wood,height_cm,girth_cm,diameter_cm\nconifer,300,,4\xe9\n", 1))
+@example(run_=("inventory", b"label,wood,size,count\n" + b"x" * 200_000 + b",conifer,tall,3\n", 1))
+@example(run_=("config", b'{"bef": 1.5, \xff}', 2))
+@example(run_=("config", b"[" * 100_000 + b"]" * 100_000, 2))
+@example(run_=("survey", b"wood,height_cm,girth_cm,diameter_cm\n"
+               + b"".join(b"conifer,%d,,%de200\n" % (100 * k, k) for k in range(1, 6)), 1))
+def test_no_file_reaches_main_as_a_traceback(workdir, run_):
+    """Whatever bytes a file holds, main returns 0, 1 or 2 and raises
+    nothing; a failed run prints one error line and no output."""
+    kind, content, expected = run_
+    argv, _ = FILE_RUNS[kind]
+    path = workdir / f"drawn-{kind}"
+    path.write_bytes(content)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(path) if arg == "F" else arg for arg in argv])
+    assert code in (0, 1, 2) and expected in (None, code)
+    if code != 0:
+        assert out.getvalue() == ""
+        assert re.fullmatch(r"canopy: error: [^\n]*\n", err.getvalue()), err.getvalue()

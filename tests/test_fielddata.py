@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,6 +178,18 @@ class TestLoadMeasurements:
         path.write_text("\ufeffwood,height_cm,girth_cm\nevergreen,250,11\n", encoding="utf-8")
         (measurement,) = load_measurements(path)
         assert (measurement.wood, measurement.height) == (WoodType.EVERGREEN, 250.0)
+
+
+    @pytest.mark.parametrize("content, cause", [
+        (b"wood,height_cm,girth_cm\nconifer,300,1\xe95\n", "can't decode byte 0xe9"),
+        (b"wood,height_cm,girth_cm\n" + b"x" * 200_000 + b",300,15\n", "field larger than field limit"),
+    ])
+    def test_file_that_is_not_text(self, tmp_path, content, cause):
+        path = tmp_path / "survey.csv"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match=f"^cannot read {re.escape(str(path))}: .*{cause}") as excinfo:
+            load_measurements(path)
+        assert excinfo.value.row is None
 
 
 class TestChunks:
@@ -447,6 +460,23 @@ class TestFit:
         order.shuffle(points)
         result = fit_piecewise_linear(points, [250.0, 300.0], wood=WoodType.EVERGREEN)
         assert result == expected and repr(result) == repr(expected)
+
+    @pytest.mark.parametrize("heights, diameters, breakpoints", [
+        # products of both signs past the range
+        ([1.0, 1e200, 5e-324], [5e-324, 1e200, 1e308], []),
+        # a sum past the range
+        ([1e-300, 1e154, 1e300], [1e-300, 1e308, 1.7e308], []),
+        # a squared residual past the range
+        ([1e-300, 1e-300, 1.0, 1.0], [1e300, 1e308, 5e-324, 5e-324], []),
+        # squared height spreads that underflow to 0
+        ([1e-300, 5e-324], [1.0, 1e200], []),
+        # two segments' residual sums, each finite, whose total is not
+        ([1, 2, 3, 4, 5, 6, 11, 12, 13, 14, 15, 16],
+         [7.4e153, 1.0, 1.0, 9.9e153, 1.24e154, 1.0, 5.7e153, 1.0, 1.0, 7.2e153, 1.14e154, 1.0], [10]),
+    ])
+    def test_sums_that_leave_the_float_range(self, heights, diameters, breakpoints):
+        with pytest.raises(DomainError, match="^the points' least-squares sums leave the float range$"):
+            fit_piecewise_linear(zip(heights, diameters), breakpoints)
 
     def test_negative_height(self):
         points = [(-1.0, 0.5), (90.0, 2.0), (110.0, 5.0), (200.0, 8.0)]
