@@ -23,7 +23,7 @@ import math
 from typing import Callable
 
 from . import growth
-from .errors import DomainError, Record, ValidationError, everywhere, require_finite
+from .errors import DomainError, Record, ValidationError, everywhere
 from .growth import DiameterModel, Numeric, SpeciesSpec, TimeSegment, _namespace
 from .quadrature import integrate
 from .removal import RemovalModel, removed_fraction, survival_fraction
@@ -47,6 +47,8 @@ CO2_PER_CARBON = 44.0 / 12.0  # molar-mass ratio, t-C -> t-CO2
 # raised as a DomainError where a caller's diameter model squares a diameter
 # past the float range
 _OVERFLOW = "stored CO2 overflows the float range"
+_POSITIVE = "bef, bd and cf must be positive"
+_NONNEGATIVE = "absorption values must be nonnegative and finite"
 
 
 class CarbonFactors(Record):
@@ -68,19 +70,13 @@ class CarbonFactors(Record):
     bd: float
     cf: float
 
-    def __post_init__(self):
-        require_finite(
-            "carbon factors", bef=self.bef, rtsr=self.rtsr, bd=self.bd, cf=self.cf
-        )
-        if min(self.bef, self.bd, self.cf) <= 0.0:
-            raise ValidationError("bef, bd and cf must be positive")
-        if self.rtsr < 0.0:
-            raise ValidationError("root-to-shoot ratio must be nonnegative")
-        if self.cf > 1.0:
-            raise ValidationError("carbon fraction cannot exceed 1")
-        for name, bound in (("bef", 10.0), ("rtsr", 5.0), ("bd", 2.0)):
-            if getattr(self, name) >= bound:
-                raise ValidationError(f"{name} {getattr(self, name)} fails sanity bound {bound}")
+    _domains = {
+        "bef": ("(0, 10)", _POSITIVE, "bef {value} fails sanity bound 10.0"),
+        "rtsr": ("[0, 5)", "root-to-shoot ratio must be nonnegative",
+                 "rtsr {value} fails sanity bound 5.0"),
+        "bd": ("(0, 2)", _POSITIVE, "bd {value} fails sanity bound 2.0"),
+        "cf": ("(0, 1]", _POSITIVE, "carbon fraction cannot exceed 1"),
+    }
 
 
 class CarbonConstant(Record):
@@ -90,12 +86,8 @@ class CarbonConstant(Record):
 
     c: float
 
-    def __post_init__(self):
-        require_finite("carbon constant", c=self.c)
-        if self.c <= 0.0:
-            raise ValidationError("carbon constant must be positive")
-        if self.c >= 1e-3:
-            raise ValidationError(f"carbon constant {self.c} fails sanity bound 0.001")
+    _domains = {"c": ("(0, 1e-3)", "carbon constant must be positive",
+                      "carbon constant {value} fails sanity bound 0.001")}
 
 
 def default_carbon_factors() -> CarbonFactors:
@@ -243,13 +235,18 @@ class AbsorptionReport(Record):
     creditable: float
     expected_total: float
 
+    _domains = {"p": ("(-inf, inf)",), "horizon": ("(-inf, inf)",),
+                "creditable": ("[0, inf)", _NONNEGATIVE, "", _NONNEGATIVE),
+                "expected_total": ("(-inf, inf)",)}
+
     def __post_init__(self):
-        require_finite("absorption report", p=self.p, horizon=self.horizon,
-                       expected_total=self.expected_total)
-        values = [s.value for s in self.segments] + [self.creditable]
+        values = [s.value for s in self.segments]
         if not all(0.0 <= value < math.inf for value in values):
-            raise ValidationError("absorption values must be nonnegative and finite")
-        total = math.fsum(values)
+            raise ValidationError(_NONNEGATIVE)
+        try:
+            total = math.fsum([*values, self.creditable])
+        except OverflowError:  # the exact sum lies past the float range
+            raise ValidationError("segment sum overflows the float range") from None
         if abs(total - self.expected_total) > 1e-9 * abs(self.expected_total):
             raise ValidationError("segment sum does not reproduce expected_total")
         if self.creditable > self.expected_total:

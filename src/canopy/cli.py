@@ -489,7 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
     derive.add_argument("--lifespan", type=float, required=True,
                         help="assumed average lifespan (years)")
     derive.add_argument("--horizon", dest="census_horizon", type=float,
-                        required=True, help="census window (years)")
+                        required=True,
+                        help="census window in years; no config key sets it (the config "
+                             "horizon key is the project horizon, which every command checks)")
     derive.add_argument("--storm-felled", type=float, default=0.0,
                         help="storm-felled trees over the window")
     derive.set_defaults(func=_cmd_derive_p)

@@ -57,12 +57,27 @@ def everywhere(mask) -> bool:
     return mask if mask.__class__ is bool else bool(mask.all())
 
 
-def require_finite(owner: str, **values: float) -> None:
-    """Raise :class:`ValidationError` naming the first of ``values`` that
-    is nan or infinite; ``owner`` prefixes the message."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValidationError(f"{owner}: {name} must be finite, got {value}")
+def _refusals(name: str, interval: str, low: str = "", high: str = "",
+              finite: str = "{name} must be finite, got {value}") -> str:
+    """Source of the checks on a variable ``name`` that refuse a value
+    outside ``interval``, written as in mathematics (``"(0, 1]"``: above 0,
+    at most 1; ``"... or None"`` lets None pass), each with its message:
+    ``finite`` for nan or ±inf, tested first, then ``low`` or ``high`` for
+    a value past that finite end.  A message is formatted with the field's
+    ``name`` and ``value``."""
+    guard = f"{name} is not None and " if interval.endswith(" or None") else ""
+    interval = interval.removesuffix(" or None")
+    lo, hi = interval[1:-1].split(", ")
+    checks = [(f"_isfinite({name})", finite)]
+    if lo != "-inf":
+        checks.append((f"{lo} {'<=' if interval[0] == '[' else '<'} {name}", low))
+    if hi != "inf":
+        checks.append((f"{name} {'<=' if interval[-1] == ']' else '<'} {hi}", high))
+    return "".join(
+        f" if {guard}not {check}:"
+        f" raise _ValidationError({message!r}.format(name={name!r}, value={name}))\n"
+        for check, message in checks
+    )
 
 
 class Record:
@@ -74,6 +89,12 @@ class Record:
     defined, and ``==`` and ``hash`` over its fields or over the names
     passed as the ``compare`` class keyword.  Values that ``__post_init__``
     derives with ``object.__setattr__`` stay out of all three and ``repr``.
+
+    A subclass's ``_domains`` table gives a field's interval and messages
+    by its name (see :func:`_refusals`).  ``__init__`` checks the tabled
+    fields, in table order, before it stores any, and raises a refused
+    value's :class:`ValidationError`.  So ``__post_init__`` runs on values
+    that pass, and keeps the rules that span fields or check what it derives.
     """
 
     def __init_subclass__(cls, compare: tuple[str, ...] | None = None, **kwargs):
@@ -84,11 +105,15 @@ class Record:
         mine = ", ".join(f"self.{n}" for n in compare or names)
         theirs = mine.replace("self.", "other.")
         post = "self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+        domains = cls.__dict__.get("_domains", {})
         # compiled once per class, so a call costs what hand-written code would;
         # the fields go straight into the instance dict, past __setattr__
-        namespace = {"_cls": cls, "__name__": cls.__module__}
+        namespace = {"_cls": cls, "_isfinite": math.isfinite,
+                     "_ValidationError": ValidationError, "__name__": cls.__module__}
         exec(
-            f"def __init__(self, {params}):\n fields = self.__dict__\n"
+            f"def __init__(self, {params}):\n"
+            + "".join(_refusals(n, *domain) for n, domain in domains.items())
+            + " fields = self.__dict__\n"
             + "".join(f" fields[{n!r}] = {n}\n" for n in names)
             + f" {post}\ndef __eq__(self, other):\n"
             " if other.__class__ is not self.__class__: return NotImplemented\n"

@@ -39,6 +39,7 @@ __all__ = [
 # The published girth tables divide circumference by pi rounded to 3.14;
 # keeping that convention reproduces their printed diameters exactly.
 GIRTH_PI = 3.14
+_POSITIVE_FINITE = "{name} must be positive and finite, got {value}"
 
 
 class Measurement(Record):
@@ -57,16 +58,20 @@ class Measurement(Record):
     girth: float | None = None
     diameter: float | None = None
 
+    _domains = {
+        "height": ("(0, inf)", _POSITIVE_FINITE, "", _POSITIVE_FINITE),
+        "girth": ("(0, inf) or None", _POSITIVE_FINITE, "", _POSITIVE_FINITE),
+        "diameter": ("(0, inf) or None", _POSITIVE_FINITE, "", _POSITIVE_FINITE),
+    }
+
     def __post_init__(self):
         object.__setattr__(self, "wood", _member(WoodType, self.wood))
-        if self.diameter is None and self.girth is not None and self.girth > 0.0:
-            object.__setattr__(self, "diameter", girth_to_diameter(self.girth))
-        for name in ("height", "girth", "diameter"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 < value < math.inf:
-                raise ValidationError(f"{name} must be positive and finite, got {value}")
         if self.diameter is None:
-            raise ValidationError("measurement needs a girth or a diameter")
+            if self.girth is None:
+                raise ValidationError("measurement needs a girth or a diameter")
+            object.__setattr__(self, "diameter", girth_to_diameter(self.girth))
+            if not self.diameter > 0.0:  # girth 5e-324 gives 5e-324 / 3.14 = 0.0
+                raise ValidationError(_POSITIVE_FINITE.format(name="diameter", value=self.diameter))
 
 
 class FitResult(Record):

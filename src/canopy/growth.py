@@ -20,7 +20,7 @@ from functools import cache
 from typing import Union
 
 from .errors import (
-    DomainError, RangeError, Record, UnknownSpeciesError, ValidationError, everywhere, require_finite,
+    DomainError, RangeError, Record, UnknownSpeciesError, ValidationError, everywhere,
 )
 
 __all__ = [
@@ -221,13 +221,8 @@ class DiameterSegment(Record):
     slope: float
     intercept: float
 
-    def __post_init__(self):
-        require_finite(
-            "diameter segment",
-            h_lo=self.h_lo, slope=self.slope, intercept=self.intercept,
-        )
-        if self.h_hi is not None:
-            require_finite("diameter segment", h_hi=self.h_hi)
+    _domains = {"h_lo": ("(-inf, inf)",), "h_hi": ("(-inf, inf) or None",),
+                "slope": ("(-inf, inf)",), "intercept": ("(-inf, inf)",)}
 
     def covers(self, h: Numeric) -> Numeric:
         """Whether ``h`` lies in ``[h_lo, h_hi)``: the one rule that picks
@@ -266,21 +261,15 @@ class DiameterModel(Record):
         prev_hi = 0.0
         for seg in self.segments:
             if seg.h_lo != prev_hi:
-                raise ValidationError(
-                    f"segments not contiguous at height {seg.h_lo}"
-                )
+                raise ValidationError(f"segments not contiguous at height {seg.h_lo}")
             if seg.h_hi is not None and seg.h_hi <= seg.h_lo:
                 raise ValidationError(f"empty segment at height {seg.h_lo}")
             if seg.slope <= 0.0:
-                raise ValidationError(
-                    f"segment at height {seg.h_lo} has nonpositive slope"
-                )
+                raise ValidationError(f"segment at height {seg.h_lo} has nonpositive slope")
             # slope > 0, so the minimum diameter sits at h_lo; the tiny
             # slack absorbs round-off when a fit recovers an exact zero
             if seg.diameter(seg.h_lo) < -1e-9:
-                raise ValidationError(
-                    f"segment at height {seg.h_lo} gives negative diameter"
-                )
+                raise ValidationError(f"segment at height {seg.h_lo} gives negative diameter")
             prev_hi = seg.h_hi
 
 

@@ -19,7 +19,6 @@ from .errors import (
     DomainError,
     Record,
     ValidationError,
-    require_finite,
 )
 from .fielddata import _number, _read_table
 from .growth import SizeClass, SpeciesSpec
@@ -70,21 +69,16 @@ class ProjectParams(Record):
     steward_years: float = 3.0
     credit_mode: CreditMode = CreditMode.SURVIVOR_ONLY
 
+    # a horizon is refused in growth._check_horizon's words
+    _domains = {
+        "horizon": ("(0, inf)", "horizon must exceed domain start 0.0"),
+        "project_emissions": ("[0, inf)", "project_emissions must be nonnegative"),
+        "steward_years": ("(-inf, inf)",),
+    }
+
     def __post_init__(self):
-        require_finite(
-            "project",
-            horizon=self.horizon,
-            project_emissions=self.project_emissions,
-            steward_years=self.steward_years,
-        )
-        if self.horizon <= 0.0:
-            raise ValidationError("horizon must be positive")
-        if self.project_emissions < 0.0:
-            raise ValidationError("project_emissions must be nonnegative")
         if not 0.0 <= self.steward_years <= self.horizon:
-            raise ValidationError(
-                f"steward_years must lie in [0, {self.horizon}]"
-            )
+            raise ValidationError(f"steward_years must lie in [0, {self.horizon}]")
 
 
 class CohortResult(Record):

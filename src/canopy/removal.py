@@ -9,7 +9,7 @@ over the census window.  Survival after t years is ``(1 - p)^t``, taken as
 
 import math
 
-from .errors import DomainError, Record, ValidationError, everywhere, require_finite
+from .errors import DomainError, Record, everywhere
 from .growth import Numeric, SizeClass, _member, _namespace
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
 # Census-derived defaults; the medium value is shared by shrubs.
 DEFAULT_P_TALL = 0.027309
 DEFAULT_P_MEDIUM_SHRUB = 0.0256977
+_P_RANGE = "p must lie in (0, 1), got {value}"
 
 
 class RemovalModel(Record):
@@ -35,9 +36,9 @@ class RemovalModel(Record):
 
     p: float
 
+    _domains = {"p": ("(0, 1)", _P_RANGE, _P_RANGE, _P_RANGE)}
+
     def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise ValidationError(f"p must lie in (0, 1), got {self.p}")
         object.__setattr__(self, "log_q", math.log1p(-self.p))
 
 
@@ -53,22 +54,12 @@ class CensusInput(Record):
     horizon: float
     storm_felled: float = 0.0
 
-    def __post_init__(self):
-        require_finite(
-            "census",
-            standing_stock=self.standing_stock,
-            assumed_lifespan=self.assumed_lifespan,
-            horizon=self.horizon,
-            storm_felled=self.storm_felled,
-        )
-        if self.standing_stock <= 0.0:
-            raise ValidationError("standing_stock must be positive")
-        if self.assumed_lifespan <= 0.0:
-            raise ValidationError("assumed_lifespan must be positive")
-        if self.horizon < 1.0:
-            raise ValidationError("census horizon must be at least 1 year")
-        if self.storm_felled < 0.0:
-            raise ValidationError("storm_felled must be nonnegative")
+    _domains = {
+        "standing_stock": ("(0, inf)", "standing_stock must be positive"),
+        "assumed_lifespan": ("(0, inf)", "assumed_lifespan must be positive"),
+        "horizon": ("[1, inf)", "census horizon must be at least 1 year"),
+        "storm_felled": ("[0, inf)", "storm_felled must be nonnegative"),
+    }
 
 
 def derive_removal_probability(census: CensusInput) -> RemovalModel:

@@ -416,3 +416,9 @@ class TestExpectedAbsorption:
             fields[field] = bad
         with pytest.raises(ValidationError, match="finite"):
             AbsorptionReport(**fields)
+
+    def test_report_rejects_an_overflowing_sum(self):
+        # each value is finite, but their exact sum lies past the float range
+        pieces = tuple(SegmentAbsorption(t, t + 1.0, "x", 1e308) for t in (0.0, 1.0))
+        with pytest.raises(ValidationError, match="^segment sum overflows the float range$"):
+            AbsorptionReport(species("evergreen", "tall"), 0.5, 10.0, pieces, 0.0, 1e308)

@@ -1,5 +1,6 @@
 """Every value type is an immutable record: the constructor signature,
-``repr``, ``==`` and ``hash`` that callers see, and refusal of assignment.
+``repr``, ``==`` and ``hash`` that callers see, refusal of assignment,
+and, for each field that a record checks on its own, the values it takes.
 
 Each case pins one class: its parameters with their defaults, a sample
 value built from positional arguments, the sample's ``repr``, and a
@@ -7,8 +8,11 @@ field whose change must break equality.
 """
 
 import inspect
+import math
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from canopy import (
     AbsorptionReport,
@@ -31,7 +35,7 @@ from canopy import (
     TimeSegment,
     WoodType,
 )
-from canopy.errors import Record
+from canopy.errors import Record, ValidationError
 
 EMPTY = inspect.Parameter.empty
 SPEC = SpeciesSpec(WoodType.EVERGREEN, SizeClass.TALL)
@@ -199,3 +203,95 @@ def test_post_init_validates_positional_and_keyword_construction():
         RemovalModel()
     with pytest.raises(TypeError):
         RemovalModel(0.5, p=0.5)
+
+
+FACTORS = dict(bef=1.6, rtsr=0.27, bd=0.4, cf=0.51)
+CENSUS = dict(standing_stock=100.0, assumed_lifespan=30.0, horizon=10.0, storm_felled=1.0)
+# steward_years 0 leaves the horizon only its own rule
+PROJECT = dict(horizon=100.0, project_emissions=0.0, steward_years=0.0)
+REPORT = dict(spec=SPEC, p=0.5, horizon=10.0, segments=(PIECE,), creditable=1.0, expected_total=3.0)
+INF = math.inf
+
+
+def _one(cls, base, field):
+    return lambda value: cls(**{**base, field: value})
+
+
+# every field a record checks on its own, with its valid values stated
+# here: (record built from value, field, low, low closed?, high, high
+# closed?, None allowed?, pattern that the field's refusals match)
+TABLED = [
+    (_one(CarbonFactors, FACTORS, "bef"), "bef", 0.0, False, 10.0, False, False, "bef"),
+    (_one(CarbonFactors, FACTORS, "rtsr"), "rtsr", 0.0, True, 5.0, False, False,
+     "rtsr|root-to-shoot ratio"),
+    (_one(CarbonFactors, FACTORS, "bd"), "bd", 0.0, False, 2.0, False, False, "bd"),
+    (_one(CarbonFactors, FACTORS, "cf"), "cf", 0.0, False, 1.0, True, False, "cf|carbon fraction"),
+    (CarbonConstant, "c", 0.0, False, 1e-3, False, False, "carbon constant|^c "),
+    *[(_one(DiameterSegment, dict(h_lo=0.0, h_hi=10.0, slope=0.5, intercept=1.0), field), field,
+       -INF, False, INF, False, field == "h_hi", field)
+      for field in ("h_lo", "h_hi", "slope", "intercept")],
+    (RemovalModel, "p", 0.0, False, 1.0, False, False, "^p "),
+    (_one(CensusInput, CENSUS, "standing_stock"), "standing_stock", 0.0, False, INF, False, False,
+     "standing_stock"),
+    (_one(CensusInput, CENSUS, "assumed_lifespan"), "assumed_lifespan", 0.0, False, INF, False,
+     False, "assumed_lifespan"),
+    (_one(CensusInput, CENSUS, "horizon"), "horizon", 1.0, True, INF, False, False, "horizon"),
+    (_one(CensusInput, CENSUS, "storm_felled"), "storm_felled", 0.0, True, INF, False, False,
+     "storm_felled"),
+    (_one(ProjectParams, PROJECT, "horizon"), "horizon", 0.0, False, INF, False, False, "horizon"),
+    (_one(ProjectParams, PROJECT, "project_emissions"), "project_emissions", 0.0, True, INF, False,
+     False, "project_emissions"),
+    # at most the horizon of 100: the one rule across fields
+    (_one(ProjectParams, PROJECT, "steward_years"), "steward_years", 0.0, True, 100.0, True,
+     False, "steward_years"),
+    *[(_one(Measurement, dict(wood="conifer", height=300.0, girth=15.0, diameter=5.0), field), field,
+       0.0, False, INF, False, field != "height", f"^{field} must be positive and finite")
+      for field in ("height", "girth", "diameter")],
+    # a girth alone: 5e-324 / 3.14 rounds to a diameter of 0.0, which is refused
+    (_one(Measurement, dict(wood="conifer", height=300.0), "girth"), "girth", 5e-324, False, INF,
+     False, False, "^(girth|diameter) must be positive and finite"),
+    (_one(AbsorptionReport, REPORT, "p"), "p", -INF, False, INF, False, False, r"\bp must"),
+    (_one(AbsorptionReport, REPORT, "horizon"), "horizon", -INF, False, INF, False, False,
+     "horizon"),
+    # the total follows, so only the creditable term's own rule applies
+    (lambda v: AbsorptionReport(**{**REPORT, "creditable": v,
+                                   "expected_total": 2.0 + v if math.isfinite(v) else 3.0}),
+     "creditable", 0.0, True, INF, False, False, "absorption values"),
+    # one segment of the total's value: the total must be finite, and a
+    # total below 0 needs a segment below 0, which the segment rule refuses
+    (lambda v: AbsorptionReport(**{**REPORT, "creditable": 0.0, "expected_total": v,
+                                   "segments": (SegmentAbsorption(0.0, 1.0, "a", v),)}),
+     "expected_total", 0.0, True, INF, False, False, "expected_total|absorption values"),
+]
+
+
+def _inside(value, low, low_closed, high, high_closed):
+    above = low <= value if low_closed else low < value
+    below = value <= high if high_closed else value < high
+    return math.isfinite(value) and above and below
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("case", TABLED, ids=lambda case: f"{case[1]}-{TABLED.index(case)}")
+def test_each_field_is_refused_exactly_outside_its_interval(case, data):
+    """nan, ±inf, ±0.0, each finite end and its two neighbours, and a
+    drawn value inside: each is accepted, or refused with a
+    ValidationError that names the field, as the stated interval says."""
+    build, field, low, low_closed, high, high_closed, optional, names = case
+    ends = [end for end in (low, high) if math.isfinite(end)]
+    values = [math.nan, INF, -INF, 0.0, -0.0, *ends]
+    values += [math.nextafter(end, toward) for end in ends for toward in (-INF, INF)]
+    values.append(data.draw(st.floats(
+        low, high, allow_nan=False, allow_infinity=False,
+        exclude_min=not low_closed, exclude_max=not high_closed,
+    )))
+    if optional:
+        build(None)
+    for value in values:
+        if _inside(value, low, low_closed, high, high_closed):
+            assert getattr(build(value), field) == value
+        else:
+            with pytest.raises(ValidationError) as refused:
+                build(value)
+            assert re.search(names, str(refused.value)), (value, str(refused.value))
