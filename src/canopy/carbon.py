@@ -23,7 +23,7 @@ import math
 from typing import Callable
 
 from . import growth
-from .errors import DomainError, Record, ValidationError, everywhere
+from .errors import DomainError, Record, ValidationError
 from .growth import DiameterModel, Numeric, SpeciesSpec, TimeSegment, _namespace
 from .quadrature import integrate
 from .removal import RemovalModel, removed_fraction, survival_fraction
@@ -127,9 +127,9 @@ def stored_co2(
     spec: SpeciesSpec,
     model: DiameterModel,
     constant: CarbonConstant,
-    t: Numeric,
-) -> Numeric:
-    """CO2 stored in one standing tree at age ``t``:
+    t: float,
+) -> float:
+    """CO2 stored in one standing tree at a float age ``t``:
     ``H(t) (d(t)/2)^2 pi c`` with the trunk taken as a cylinder.
 
     Raises:
@@ -141,7 +141,7 @@ def stored_co2(
         store = _cylinder(h, growth.diameter_from_height(model, h), constant.c)
     except OverflowError:
         store = math.inf
-    if not everywhere(store < math.inf):  # an infinite diameter squares without raising
+    if not store < math.inf:  # an infinite diameter squares without raising
         raise DomainError(_OVERFLOW)
     return store
 

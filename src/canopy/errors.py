@@ -1,5 +1,5 @@
-"""Exception hierarchy, the input checks shared across the package, and
-the immutable record base of its value types."""
+"""Exception hierarchy and the immutable record base of the package's value
+types."""
 
 import math
 
@@ -48,13 +48,6 @@ class UnderdeterminedError(CanopyError, ValueError):
 
 class UnknownSpeciesError(CanopyError, ValueError):
     """A wood type or size class name is not one of the known values."""
-
-
-def everywhere(mask) -> bool:
-    """Truth of a comparison made on a float (a ``bool``, taken as it is) or
-    on an ndarray or numpy scalar (true if every element is).  A check of the
-    valid condition, which nan fails, serves both and rejects nan in both."""
-    return mask if mask.__class__ is bool else bool(mask.all())
 
 
 def _refusals(name: str, interval: str, low: str = "", high: str = "",

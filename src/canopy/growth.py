@@ -19,9 +19,7 @@ from enum import Enum
 from functools import cache
 from typing import Union
 
-from .errors import (
-    DomainError, RangeError, Record, UnknownSpeciesError, ValidationError, everywhere,
-)
+from .errors import DomainError, RangeError, Record, UnknownSpeciesError, ValidationError
 
 __all__ = [
     "WoodType",
@@ -224,10 +222,10 @@ class DiameterSegment(Record):
     _domains = {"h_lo": ("(-inf, inf)",), "h_hi": ("(-inf, inf) or None",),
                 "slope": ("(-inf, inf)",), "intercept": ("(-inf, inf)",)}
 
-    def covers(self, h: Numeric) -> Numeric:
+    def covers(self, h: float) -> bool:
         """Whether ``h`` lies in ``[h_lo, h_hi)``: the one rule that picks
-        a height's segment, elementwise for an ndarray."""
-        return (h >= self.h_lo) & (h < (math.inf if self.h_hi is None else self.h_hi))
+        a height's segment."""
+        return self.h_lo <= h < (math.inf if self.h_hi is None else self.h_hi)
 
     def diameter(self, h: Numeric) -> Numeric:
         return self.slope * h + self.intercept
@@ -301,15 +299,15 @@ def default_diameter_models() -> dict[WoodType, DiameterModel]:
     }
 
 
-def uncapped_height(spec: SpeciesSpec, t: Numeric) -> Numeric:
-    """Bare growth-branch height ``spec.curve(t)``, ignoring any cap, for
-    ``t`` checked against ``spec.domain_start``."""
-    if not everywhere(t >= spec.domain_start):
+def uncapped_height(spec: SpeciesSpec, t: float) -> float:
+    """Bare growth-branch height ``spec.curve(t)``, ignoring any cap, for a
+    float ``t`` checked against ``spec.domain_start``."""
+    if not t >= spec.domain_start:
         raise DomainError(f"t must be >= {spec.domain_start} for {spec.wood.value} {spec.size.value}")
     return spec.curve(t)
 
 
-def height(spec: SpeciesSpec, t: Numeric) -> Numeric:
+def height(spec: SpeciesSpec, t: float) -> float:
     """Tree height in cm at ``t`` years since planting.
 
     Growth curves by wood type:
@@ -327,23 +325,18 @@ def height(spec: SpeciesSpec, t: Numeric) -> Numeric:
 
     Args:
         spec: Species case to evaluate.
-        t: Years since planting, a float or a numpy ndarray.
+        t: Years since planting, a float.
 
     Returns:
-        Height in cm, matching the shape of ``t``.
+        Height in cm.
 
     Raises:
-        DomainError: If any ``t`` lies below ``spec.domain_start``
+        DomainError: If ``t`` is nan or lies below ``spec.domain_start``
             (conifer curves are undefined below t = 1, where the base
             ``1 - e^(-0.00592 (t-1))`` turns negative).
     """
     curve = uncapped_height(spec, t)
-    on_cap = t >= _cap_boundary(spec)
-    if on_cap.__class__ is bool or on_cap.ndim == 0:
-        return spec.held_height if on_cap else curve
-    out = curve.copy()
-    out[on_cap] = spec.held_height
-    return out
+    return spec.held_height if t >= _cap_boundary(spec) else curve
 
 
 def time_at_height(spec: SpeciesSpec, h: float) -> float:
@@ -372,21 +365,15 @@ def time_at_height(spec: SpeciesSpec, h: float) -> float:
     return spec.inverse(h)
 
 
-def diameter_from_height(model: DiameterModel, h: Numeric) -> Numeric:
-    """Trunk diameter in cm for height ``h`` cm under ``model``.
+def diameter_from_height(model: DiameterModel, h: float) -> float:
+    """Trunk diameter in cm for a float height ``h`` cm under ``model``.
 
     Selects the segment with ``h in [h_lo, h_hi)`` (last segment closed
-    above) and returns ``slope * h + intercept``.  ``h`` may be a float
-    or a numpy ndarray.
+    above) and returns ``slope * h + intercept``.
     """
-    if not everywhere((h >= 0.0) & (h < math.inf)):
+    if not 0.0 <= h < math.inf:
         raise DomainError("height must be finite and nonnegative")
-    # each height lies in exactly one segment, so the masked sum adds
-    # exact zeros to one value
-    out = 0.0
-    for seg in model.segments:
-        out = out + seg.covers(h) * seg.diameter(h)
-    return out
+    return next(s for s in model.segments if s.covers(h)).diameter(h)
 
 
 class TimeSegment(Record, compare=("t_lo", "t_hi")):

@@ -9,8 +9,8 @@ over the census window.  Survival after t years is ``(1 - p)^t``, taken as
 
 import math
 
-from .errors import DomainError, Record, everywhere
-from .growth import Numeric, SizeClass, _member, _namespace
+from .errors import DomainError, Record
+from .growth import SizeClass, _member
 
 __all__ = [
     "RemovalModel",
@@ -98,20 +98,20 @@ def derive_removal_probability(census: CensusInput) -> RemovalModel:
     return RemovalModel(p=p)
 
 
-def survival_fraction(model: RemovalModel, t: Numeric) -> Numeric:
-    """Probability ``(1 - p)^t`` that a tree still stands after t years,
-    as ``exp(t ln(1 - p))``; ``t`` may be a float or a numpy ndarray."""
-    if not everywhere(t >= 0.0):
+def survival_fraction(model: RemovalModel, t: float) -> float:
+    """Probability ``(1 - p)^t`` that a tree still stands after a float
+    ``t`` years, as ``exp(t ln(1 - p))``."""
+    if not t >= 0.0:
         raise DomainError("t must be nonnegative")
-    return _namespace(t).exp(t * model.log_q)
+    return math.exp(t * model.log_q)
 
 
-def removed_fraction(model: RemovalModel, t: Numeric) -> Numeric:
-    """Probability ``1 - (1 - p)^t`` that a tree is gone within t years, as
-    ``-expm1(t ln(1 - p))``, which does not cancel where it is small."""
-    if not everywhere(t >= 0.0):
+def removed_fraction(model: RemovalModel, t: float) -> float:
+    """Probability ``1 - (1 - p)^t`` that a tree is gone within a float ``t``
+    years, as ``-expm1(t ln(1 - p))``, which does not cancel where it is small."""
+    if not t >= 0.0:
         raise DomainError("t must be nonnegative")
-    return -_namespace(t).expm1(t * model.log_q)
+    return -math.expm1(t * model.log_q)
 
 
 def expected_lifespan(model: RemovalModel) -> float:

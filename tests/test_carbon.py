@@ -21,7 +21,9 @@ from canopy import (
     creditable_absorption,
     default_carbon_factors,
     default_removal_model,
+    diameter_from_height,
     expected_absorption,
+    height,
     integration_segments,
     species,
     stored_co2,
@@ -185,6 +187,22 @@ class TestStoredCo2:
             for call in calls:
                 with pytest.raises(DomainError, match="^stored CO2 overflows the float range$"):
                     call()
+
+    def test_segment_that_does_not_cover_the_height_is_not_read(self, constant):
+        # the first segment's diameter overflows above about 1.8e2 cm; a
+        # height on the second segment reads that segment alone
+        spec = species("evergreen", "tall")
+        removal = default_removal_model(spec.size)
+        model = DiameterModel(
+            None, (DiameterSegment(0.0, 300.0, 1e306, 0.0), DiameterSegment(300.0, None, 0.05, -10.0))
+        )
+        h = height(spec, 50.0)
+        assert diameter_from_height(model, h) == 0.05 * h - 10.0
+        assert stored_co2(spec, model, constant, 50.0) == pytest.approx(14.1234, rel=1e-5)
+        assert creditable_absorption(spec, model, removal, constant, 50.0) == pytest.approx(3.53739, rel=1e-5)
+        # the in-process term still reaches the first piece, whose store overflows
+        with pytest.raises(DomainError, match="^stored CO2 overflows the float range$"):
+            expected_absorption(spec, model, removal, constant, 50.0)
 
 
 class TestCreditable:

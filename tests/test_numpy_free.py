@@ -1,8 +1,12 @@
-"""canopy runs without numpy, yet its curve functions still take ndarrays.
+"""canopy runs without numpy, yet the callables that the midpoint reference
+evaluates still take ndarrays.
 
 The runtime is written with ``math`` and operators, so ``import canopy``
-must not load numpy; the same expressions evaluate an ndarray a caller
-passes in, element for element as they evaluate a float.
+must not load numpy.  Each ``SpeciesSpec.curve``, ``DiameterSegment.diameter``
+and the callable that ``segment_integrand`` returns evaluate an ndarray a
+caller passes in, element for element as they evaluate a float; the public
+helpers (``height``, ``diameter_from_height``, ``survival_fraction`` and the
+like) take a float.
 """
 
 import subprocess
@@ -63,8 +67,7 @@ def _specs():
 
 
 def _times(spec):
-    # the grid includes both cap ages exactly, so each cap rule meets its
-    # boundary on the array path as on the float path
+    # out to 150 years, with both cap ages exactly
     grid = np.linspace(spec.domain_start, 150.0, 301)
     caps = np.array([MEDIUM_CAP_TIME_YEARS, SHRUB_CAP_TIME_YEARS])
     return np.concatenate([grid, caps[caps >= spec.domain_start]])
@@ -80,10 +83,7 @@ def _assert_parity(f, xs):
 
 @pytest.mark.parametrize("spec", _specs(), ids=lambda s: f"{s.wood.value}-{s.size.value}-{s.continuous_cap}")
 def test_curves_match_per_element_floats(spec):
-    ts = _times(spec)
-    _assert_parity(lambda t: height(spec, t), ts)
-    _assert_parity(lambda t: uncapped_height(spec, t), ts)
-    _assert_parity(lambda t: survival_fraction(default_removal_model(spec.size), t), ts)
+    _assert_parity(spec.curve, _times(spec))
 
 
 @pytest.mark.parametrize("model", default_diameter_models().values(), ids=lambda m: m.wood.value)
@@ -93,7 +93,8 @@ def test_diameter_matches_per_element_floats(model):
     hs = np.concatenate(
         [np.linspace(0.0, 3000.0, 301), edges, np.nextafter(edges, -np.inf)]
     )
-    _assert_parity(lambda h: diameter_from_height(model, h), hs)
+    for seg in model.segments:
+        _assert_parity(seg.diameter, hs)
 
 
 @pytest.mark.parametrize("spec", _specs(), ids=lambda s: f"{s.wood.value}-{s.size.value}-{s.continuous_cap}")
@@ -107,6 +108,7 @@ def test_segment_integrand_matches_per_element_floats(spec):
 
 
 def test_domain_error_for_float_and_inside_array():
+    # the helpers take a float only and refuse nan with the rest of their domain
     conifer = species("conifer", "medium")
     removal = default_removal_model(conifer.size)
     model = default_diameter_models()[conifer.wood]
@@ -123,13 +125,9 @@ def test_domain_error_for_float_and_inside_array():
         (lambda h: diameter_from_height(model, h), -0.1),
         (lambda h: diameter_from_height(model, h), float("inf")),
         (lambda h: diameter_from_height(model, h), nan),
+        (lambda h: time_at_height(conifer, h), nan),
+        (girth_to_diameter, nan),
     ]
     for f, bad in cases:
         with pytest.raises(DomainError):
             f(bad)
-        with pytest.raises(DomainError):
-            f(np.array([2.0, bad, 3.0]))
-    # these two take a float only
-    for f in (lambda h: time_at_height(conifer, h), girth_to_diameter):
-        with pytest.raises(DomainError):
-            f(nan)
