@@ -47,8 +47,6 @@ CO2_PER_CARBON = 44.0 / 12.0  # molar-mass ratio, t-C -> t-CO2
 # raised as a DomainError where a caller's diameter model squares a diameter
 # past the float range
 _OVERFLOW = "stored CO2 overflows the float range"
-_POSITIVE = "bef, bd and cf must be positive"
-_NONNEGATIVE = "absorption values must be nonnegative and finite"
 
 
 class CarbonFactors(Record):
@@ -70,13 +68,7 @@ class CarbonFactors(Record):
     bd: float
     cf: float
 
-    _domains = {
-        "bef": ("(0, 10)", _POSITIVE, "bef {value} fails sanity bound 10.0"),
-        "rtsr": ("[0, 5)", "root-to-shoot ratio must be nonnegative",
-                 "rtsr {value} fails sanity bound 5.0"),
-        "bd": ("(0, 2)", _POSITIVE, "bd {value} fails sanity bound 2.0"),
-        "cf": ("(0, 1]", _POSITIVE, "carbon fraction cannot exceed 1"),
-    }
+    _domains = {"bef": "(0, 10)", "rtsr": "[0, 5)", "bd": "(0, 2)", "cf": "(0, 1]"}
 
 
 class CarbonConstant(Record):
@@ -86,8 +78,7 @@ class CarbonConstant(Record):
 
     c: float
 
-    _domains = {"c": ("(0, 1e-3)", "carbon constant must be positive",
-                      "carbon constant {value} fails sanity bound 0.001")}
+    _domains = {"c": "(0, 0.001)"}
 
 
 def default_carbon_factors() -> CarbonFactors:
@@ -119,8 +110,11 @@ def default_carbon_constant() -> CarbonConstant:
 
 
 def _cylinder(h: Numeric, d: Numeric, c: float) -> Numeric:
-    """Trunk-cylinder store ``H (d/2)^2 pi c``: the one stored-CO2 rule."""
-    return h * (0.5 * d) ** 2 * math.pi * c
+    """Trunk-cylinder store ``H (d/2)^2 pi c``: the one stored-CO2 rule.  The
+    radius is squared by one multiplication, which a float and an ndarray
+    round alike and which cannot raise OverflowError."""
+    r = 0.5 * d
+    return h * (r * r) * math.pi * c
 
 
 def stored_co2(
@@ -137,11 +131,8 @@ def stored_co2(
             diameter model can make it).
     """
     h = growth.height(spec, t)
-    try:
-        store = _cylinder(h, growth.diameter_from_height(model, h), constant.c)
-    except OverflowError:
-        store = math.inf
-    if not store < math.inf:  # an infinite diameter squares without raising
+    store = _cylinder(h, growth.diameter_from_height(model, h), constant.c)
+    if not store < math.inf:
         raise DomainError(_OVERFLOW)
     return store
 
@@ -235,14 +226,13 @@ class AbsorptionReport(Record):
     creditable: float
     expected_total: float
 
-    _domains = {"p": ("(-inf, inf)",), "horizon": ("(-inf, inf)",),
-                "creditable": ("[0, inf)", _NONNEGATIVE, "", _NONNEGATIVE),
-                "expected_total": ("(-inf, inf)",)}
+    _domains = {"p": "(-inf, inf)", "horizon": "(-inf, inf)", "creditable": "[0, inf)",
+                "expected_total": "(-inf, inf)"}
 
     def __post_init__(self):
         values = [s.value for s in self.segments]
         if not all(0.0 <= value < math.inf for value in values):
-            raise ValidationError(_NONNEGATIVE)
+            raise ValidationError("absorption values must be nonnegative and finite")
         try:
             total = math.fsum([*values, self.creditable])
         except OverflowError:  # the exact sum lies past the float range
@@ -272,17 +262,16 @@ def expected_absorption(
             or a store passes the float range (see :func:`stored_co2`).
         IntegrationError: If the quadrature misses its tolerance on a growth piece.
     """
-    # caught here, not in the integrand, which the quadrature calls per node
-    try:
-        segments = tuple(
-            SegmentAbsorption(
-                piece.t_lo, piece.t_hi, piece.label, _absorbed(spec, piece, removal, constant)
-            )
-            for piece in growth.integration_segments(spec, model, horizon)
+    segments = tuple(
+        SegmentAbsorption(
+            piece.t_lo, piece.t_hi, piece.label, _absorbed(spec, piece, removal, constant)
         )
-        creditable = creditable_absorption(spec, model, removal, constant, horizon)
+        for piece in growth.integration_segments(spec, model, horizon)
+    )
+    creditable = creditable_absorption(spec, model, removal, constant, horizon)
+    try:
         total = math.fsum([s.value for s in segments] + [creditable])
-    except OverflowError:
+    except OverflowError:  # finite terms whose exact sum lies past the float range
         raise DomainError(_OVERFLOW) from None
     return AbsorptionReport(
         spec=spec, p=removal.p, horizon=float(horizon), segments=segments,

@@ -50,27 +50,22 @@ class UnknownSpeciesError(CanopyError, ValueError):
     """A wood type or size class name is not one of the known values."""
 
 
-def _refusals(name: str, interval: str, low: str = "", high: str = "",
-              finite: str = "{name} must be finite, got {value}") -> str:
-    """Source of the checks on a variable ``name`` that refuse a value
+def _refusals(name: str, interval: str) -> str:
+    """Source of the one check on a variable ``name`` that refuses a value
     outside ``interval``, written as in mathematics (``"(0, 1]"``: above 0,
-    at most 1; ``"... or None"`` lets None pass), each with its message:
-    ``finite`` for nan or ±inf, tested first, then ``low`` or ``high`` for
-    a value past that finite end.  A message is formatted with the field's
-    ``name`` and ``value``."""
+    at most 1; ``"... or None"`` lets None pass).  The test joins the finite
+    check and each finite end with ``and``, so nan and ±inf fail too, and a
+    refusal reads ``<name> must lie in <interval>, got <value>``."""
     guard = f"{name} is not None and " if interval.endswith(" or None") else ""
     interval = interval.removesuffix(" or None")
     lo, hi = interval[1:-1].split(", ")
-    checks = [(f"_isfinite({name})", finite)]
+    checks = [f"_isfinite({name})"]
     if lo != "-inf":
-        checks.append((f"{lo} {'<=' if interval[0] == '[' else '<'} {name}", low))
+        checks.append(f"{lo} {'<=' if interval[0] == '[' else '<'} {name}")
     if hi != "inf":
-        checks.append((f"{name} {'<=' if interval[-1] == ']' else '<'} {hi}", high))
-    return "".join(
-        f" if {guard}not {check}:"
-        f" raise _ValidationError({message!r}.format(name={name!r}, value={name}))\n"
-        for check, message in checks
-    )
+        checks.append(f"{name} {'<=' if interval[-1] == ']' else '<'} {hi}")
+    return (f" if {guard}not ({' and '.join(checks)}):"
+            f" raise _ValidationError(f'{name} must lie in {interval}, got {{{name}}}')\n")
 
 
 class Record:
@@ -83,10 +78,11 @@ class Record:
     passed as the ``compare`` class keyword.  Values that ``__post_init__``
     derives with ``object.__setattr__`` stay out of all three and ``repr``.
 
-    A subclass's ``_domains`` table gives a field's interval and messages
-    by its name (see :func:`_refusals`).  ``__init__`` checks the tabled
-    fields, in table order, before it stores any, and raises a refused
-    value's :class:`ValidationError`.  So ``__post_init__`` runs on values
+    A subclass's ``_domains`` table gives a field's interval, and nothing
+    else, by its name (see :func:`_refusals`).  ``__init__`` checks the
+    tabled fields, in table order, before it stores any, and raises
+    :class:`ValidationError` ``<field> must lie in <interval>, got <value>``
+    for the first value refused.  So ``__post_init__`` runs on values
     that pass, and keeps the rules that span fields or check what it derives.
     """
 
@@ -105,7 +101,7 @@ class Record:
                      "_ValidationError": ValidationError, "__name__": cls.__module__}
         exec(
             f"def __init__(self, {params}):\n"
-            + "".join(_refusals(n, *domain) for n, domain in domains.items())
+            + "".join(_refusals(n, interval) for n, interval in domains.items())
             + " fields = self.__dict__\n"
             + "".join(f" fields[{n!r}] = {n}\n" for n in names)
             + f" {post}\ndef __eq__(self, other):\n"

@@ -39,7 +39,6 @@ __all__ = [
 # The published girth tables divide circumference by pi rounded to 3.14;
 # keeping that convention reproduces their printed diameters exactly.
 GIRTH_PI = 3.14
-_POSITIVE_FINITE = "{name} must be positive and finite, got {value}"
 
 
 class Measurement(Record):
@@ -58,11 +57,8 @@ class Measurement(Record):
     girth: float | None = None
     diameter: float | None = None
 
-    _domains = {
-        "height": ("(0, inf)", _POSITIVE_FINITE, "", _POSITIVE_FINITE),
-        "girth": ("(0, inf) or None", _POSITIVE_FINITE, "", _POSITIVE_FINITE),
-        "diameter": ("(0, inf) or None", _POSITIVE_FINITE, "", _POSITIVE_FINITE),
-    }
+    _domains = {"height": "(0, inf)", "girth": "(0, inf) or None",
+                "diameter": "(0, inf) or None"}
 
     def __post_init__(self):
         object.__setattr__(self, "wood", _member(WoodType, self.wood))
@@ -71,7 +67,7 @@ class Measurement(Record):
                 raise ValidationError("measurement needs a girth or a diameter")
             object.__setattr__(self, "diameter", girth_to_diameter(self.girth))
             if not self.diameter > 0.0:  # girth 5e-324 gives 5e-324 / 3.14 = 0.0
-                raise ValidationError(_POSITIVE_FINITE.format(name="diameter", value=self.diameter))
+                raise ValidationError(f"diameter must lie in (0, inf), got {self.diameter}")
 
 
 class FitResult(Record):

@@ -219,8 +219,8 @@ class DiameterSegment(Record):
     slope: float
     intercept: float
 
-    _domains = {"h_lo": ("(-inf, inf)",), "h_hi": ("(-inf, inf) or None",),
-                "slope": ("(-inf, inf)",), "intercept": ("(-inf, inf)",)}
+    _domains = {"h_lo": "(-inf, inf)", "h_hi": "(-inf, inf) or None",
+                "slope": "(-inf, inf)", "intercept": "(-inf, inf)"}
 
     def covers(self, h: float) -> bool:
         """Whether ``h`` lies in ``[h_lo, h_hi)``: the one rule that picks
@@ -408,10 +408,8 @@ def _cap_boundary(spec: SpeciesSpec) -> float:
 
 def _check_horizon(horizon: float, start: float) -> None:
     """The package's one horizon check: finite and past ``start``."""
-    if not math.isfinite(horizon):
-        raise DomainError(f"horizon must be finite, got {horizon}")
-    if horizon <= start:
-        raise DomainError(f"horizon must exceed domain start {start}")
+    if not (math.isfinite(horizon) and start < horizon):
+        raise DomainError(f"horizon must lie in ({start:g}, inf), got {horizon}")
 
 
 def integration_segments(

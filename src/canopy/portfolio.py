@@ -69,12 +69,8 @@ class ProjectParams(Record):
     steward_years: float = 3.0
     credit_mode: CreditMode = CreditMode.SURVIVOR_ONLY
 
-    # a horizon is refused in growth._check_horizon's words
-    _domains = {
-        "horizon": ("(0, inf)", "horizon must exceed domain start 0.0"),
-        "project_emissions": ("[0, inf)", "project_emissions must be nonnegative"),
-        "steward_years": ("(-inf, inf)",),
-    }
+    _domains = {"horizon": "(0, inf)", "project_emissions": "[0, inf)",
+                "steward_years": "(-inf, inf)"}
 
     def __post_init__(self):
         if not 0.0 <= self.steward_years <= self.horizon:

@@ -27,7 +27,6 @@ __all__ = [
 # Census-derived defaults; the medium value is shared by shrubs.
 DEFAULT_P_TALL = 0.027309
 DEFAULT_P_MEDIUM_SHRUB = 0.0256977
-_P_RANGE = "p must lie in (0, 1), got {value}"
 
 
 class RemovalModel(Record):
@@ -36,7 +35,7 @@ class RemovalModel(Record):
 
     p: float
 
-    _domains = {"p": ("(0, 1)", _P_RANGE, _P_RANGE, _P_RANGE)}
+    _domains = {"p": "(0, 1)"}
 
     def __post_init__(self):
         object.__setattr__(self, "log_q", math.log1p(-self.p))
@@ -54,12 +53,8 @@ class CensusInput(Record):
     horizon: float
     storm_felled: float = 0.0
 
-    _domains = {
-        "standing_stock": ("(0, inf)", "standing_stock must be positive"),
-        "assumed_lifespan": ("(0, inf)", "assumed_lifespan must be positive"),
-        "horizon": ("[1, inf)", "census horizon must be at least 1 year"),
-        "storm_felled": ("[0, inf)", "storm_felled must be nonnegative"),
-    }
+    _domains = {"standing_stock": "(0, inf)", "assumed_lifespan": "(0, inf)",
+                "horizon": "[1, inf)", "storm_felled": "[0, inf)"}
 
 
 def derive_removal_probability(census: CensusInput) -> RemovalModel:

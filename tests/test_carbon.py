@@ -77,10 +77,13 @@ class TestCarbonConstant:
     @pytest.mark.parametrize(
         "factors,message",
         [
-            ((10.0, 0.2, 0.4, 0.5), "bef 10.0 fails sanity bound 10.0"),
-            ((1.0, 5.0, 0.4, 0.5), "rtsr 5.0 fails sanity bound 5.0"),
-            ((1.0, 0.2, 2.0, 0.5), "bd 2.0 fails sanity bound 2.0"),
+            ((10.0, 0.2, 0.4, 0.5), r"^bef must lie in \(0, 10\), got 10.0$"),
+            ((1.0, 5.0, 0.4, 0.5), r"^rtsr must lie in \[0, 5\), got 5.0$"),
+            ((1.0, 0.2, 2.0, 0.5), r"^bd must lie in \(0, 2\), got 2.0$"),
         ],
+        # each case keeps the id it had before the message moved
+        ids=["factors0-bef 10.0 fails sanity bound 10.0", "factors1-rtsr 5.0 fails sanity bound 5.0",
+             "factors2-bd 2.0 fails sanity bound 2.0"],
     )
     def test_factor_upper_bounds(self, factors, message):
         with pytest.raises(ValidationError, match=message):
@@ -91,7 +94,7 @@ class TestCarbonConstant:
         factors = CarbonFactors(below[0], below[1], below[2], 1.0)
         assert carbon_constant(factors).c == pytest.approx(4.4e-4, rel=1e-12)
         assert CarbonConstant(math.nextafter(1e-3, 0.0)).c < 1e-3
-        with pytest.raises(ValidationError, match="carbon constant 0.001 fails sanity bound"):
+        with pytest.raises(ValidationError, match=r"^c must lie in \(0, 0.001\), got 0.001$"):
             CarbonConstant(1e-3)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -103,7 +106,7 @@ class TestCarbonConstant:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_constant_rejects_non_finite(self, bad):
-        with pytest.raises(ValidationError, match="finite"):
+        with pytest.raises(ValidationError, match=rf"^c must lie in \(0, 0.001\), got {bad}$"):
             CarbonConstant(bad)
 
 
@@ -168,9 +171,11 @@ class TestStoredCo2:
 
     @pytest.mark.parametrize("size", list(SizeClass))
     def test_overflowing_store_is_domain_error(self, constant, size):
-        # a caller's model may square a diameter past the float range (1e200),
-        # make the diameter itself infinite (1e306), or leave an infinite
-        # diameter in a segment that does not cover the height (0 * inf)
+        # each model takes a store past the float range, which every call
+        # refuses by one test, not store < inf: a finite diameter whose square
+        # passes the range (1e200), an infinite diameter (1e306), and two
+        # segments, where the height at 50 reads the second segment's infinite
+        # diameter and the in-process pieces below 300 cm square the first's
         spec = species("evergreen", size)
         removal = default_removal_model(size)
         for rows in [
@@ -228,12 +233,15 @@ class TestCreditable:
     @pytest.mark.parametrize(
         "wood,horizon,message",
         [
-            ("evergreen", math.nan, "finite"),
-            ("evergreen", math.inf, "finite"),
-            ("evergreen", -math.inf, "finite"),
-            ("evergreen", -1.0, "domain start 0.0"),
-            ("conifer", 0.5, "domain start 1.0"),
+            ("evergreen", math.nan, r"^horizon must lie in \(0, inf\), got nan$"),
+            ("evergreen", math.inf, r"^horizon must lie in \(0, inf\), got inf$"),
+            ("evergreen", -math.inf, r"^horizon must lie in \(0, inf\), got -inf$"),
+            ("evergreen", -1.0, r"^horizon must lie in \(0, inf\), got -1.0$"),
+            ("conifer", 0.5, r"^horizon must lie in \(1, inf\), got 0.5$"),
         ],
+        # each case keeps the id it had before the message moved
+        ids=["evergreen-nan-finite", "evergreen-inf-finite", "evergreen--inf-finite",
+             "evergreen--1.0-domain start 0.0", "conifer-0.5-domain start 1.0"],
     )
     def test_horizon_rejected(self, models, constant, function, wood, horizon, message):
         spec = species(wood, "tall")
@@ -432,8 +440,19 @@ class TestExpectedAbsorption:
             fields["segments"] = (SegmentAbsorption(t_lo=0.0, t_hi=1.0, label="x", value=bad),)
         else:
             fields[field] = bad
-        with pytest.raises(ValidationError, match="finite"):
+        interval = r"\[0, inf\)" if field == "creditable" else r"\(-inf, inf\)"
+        message = "finite" if field == "segment" else rf"^{field} must lie in {interval}, got {bad}$"
+        with pytest.raises(ValidationError, match=message):
             AbsorptionReport(**fields)
+
+    def test_report_refuses_creditable_above_total(self):
+        # the sum check passes (5e-10 relative), but the survivor term
+        # cannot exceed the total it is part of
+        fields = dict(spec=species("evergreen", "tall"), p=0.5, horizon=10.0,
+                      segments=(SegmentAbsorption(0.0, 1.0, "x", 0.0),), expected_total=1.0)
+        assert AbsorptionReport(**fields, creditable=1.0).creditable == 1.0
+        with pytest.raises(ValidationError, match="^creditable term exceeds expected total$"):
+            AbsorptionReport(**fields, creditable=1.0 + 5e-10)
 
     def test_report_rejects_an_overflowing_sum(self):
         # each value is finite, but their exact sum lies past the float range

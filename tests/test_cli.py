@@ -26,9 +26,9 @@ MODEL_COMMANDS = ("estimate", "breakdown", "portfolio")
 EXTREMES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e308)
 # carbon factors past a sanity bound, or whose constant underflows: (factors, message)
 OUT_OF_RANGE_FACTORS = [
-    ({"bef": 1e308, "bd": 1e308}, "bef 1e+308 fails sanity bound 10.0"),
-    ({"cf": 5e-324, "bef": 5e-324, "bd": 5e-324}, "carbon constant must be positive"),
-    ({"bd": 2.0}, "bd 2.0 fails sanity bound 2.0"),
+    ({"bef": 1e308, "bd": 1e308}, "bef must lie in (0, 10), got 1e+308"),
+    ({"cf": 5e-324, "bef": 5e-324, "bd": 5e-324}, "c must lie in (0, 0.001), got 0.0"),
+    ({"bd": 2.0}, "bd must lie in (0, 2), got 2.0"),
 ]
 
 
@@ -274,7 +274,10 @@ class TestNonFiniteInput:
         assert "bef" in err
 
     @pytest.mark.parametrize("command", COMMANDS)
-    @pytest.mark.parametrize("factors,message", OUT_OF_RANGE_FACTORS)
+    # each case keeps the id it had before the message moved
+    @pytest.mark.parametrize("factors,message", OUT_OF_RANGE_FACTORS, ids=[
+        "factors0-bef 1e+308 fails sanity bound 10.0", "factors1-carbon constant must be positive",
+        "factors2-bd 2.0 fails sanity bound 2.0"])
     def test_carbon_constant_out_of_range(self, capsys, tmp_path, command, factors, message):
         # every command resolves the constant: from the config file always,
         # and from the flags where the command takes them
@@ -298,7 +301,7 @@ class TestNonFiniteInput:
             "--config", str(config),
         )
         assert code == 2 and out == ""
-        assert f"{key} must be" in err and "inf" in err
+        assert f"{key} must lie in" in err and "got inf" in err
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_horizon_non_finite(self, capsys, value):
@@ -316,7 +319,7 @@ class TestNonFiniteInput:
             capsys, command, "--wood", "conifer", "--size", "tall", "--horizon", horizon,
         )
         assert (code, out) == (2, "")
-        assert err == "canopy: error: horizon must exceed domain start 1.0\n"
+        assert err == f"canopy: error: horizon must lie in (1, inf), got {horizon}\n"
         # in a portfolio the conifer comes from the file: a data error
         inventory = tmp_path / "inventory.csv"
         inventory.write_text("label,wood,size,count\nstreet-A,conifer,tall,1\n")
@@ -639,7 +642,7 @@ class TestFit:
         )
         code, out, err = run(capsys, "fit", str(path), "--wood", "conifer")
         assert (code, out) == (1, "")
-        assert err == "canopy: error: row 3: height must be positive and finite, got -3.0\n"
+        assert err == "canopy: error: row 3: height must lie in (0, inf), got -3.0\n"
 
     def test_wood_without_rows_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "m.csv"

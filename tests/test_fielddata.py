@@ -129,12 +129,18 @@ class TestLoadMeasurements:
     @pytest.mark.parametrize(
         "cells,message",
         [
-            ("nan,11,", "height must be positive and finite, got nan"),
-            ("250,inf,", "girth must be positive and finite, got inf"),
-            ("250,,-0.0", "diameter must be positive and finite, got -0.0"),
-            ("250,,1e400", "diameter must be positive and finite, got inf"),
-            ("250,5e-324,", "diameter must be positive and finite, got 0.0"),
+            ("nan,11,", "height must lie in (0, inf), got nan"),
+            ("250,inf,", "girth must lie in (0, inf), got inf"),
+            ("250,,-0.0", "diameter must lie in (0, inf), got -0.0"),
+            ("250,,1e400", "diameter must lie in (0, inf), got inf"),
+            ("250,5e-324,", "diameter must lie in (0, inf), got 0.0"),
         ],
+        # each case keeps the id it had before the message moved
+        ids=["nan,11,-height must be positive and finite, got nan",
+             "250,inf,-girth must be positive and finite, got inf",
+             "250,,-0.0-diameter must be positive and finite, got -0.0",
+             "250,,1e400-diameter must be positive and finite, got inf",
+             "250,5e-324,-diameter must be positive and finite, got 0.0"],
     )
     def test_record_check_names_its_row(self, tmp_path, cells, message):
         path = tmp_path / "r.csv"
@@ -242,7 +248,7 @@ class TestChunks:
         path = self.write(tmp_path, *self.GOOD, self.GOOD[0], "conifer,-3,15,", *self.GOOD)
         with pytest.raises(ValidationError) as excinfo:
             load_measurements(path)
-        assert str(excinfo.value) == "row 5: height must be positive and finite, got -3.0"
+        assert str(excinfo.value) == "row 5: height must lie in (0, inf), got -3.0"
         assert excinfo.value.row == 5
         # the first chunk passed its column checks
         assert row_reads[0] == ("conifer", "-3", "15", "")
@@ -340,12 +346,12 @@ class TestMeasurement:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
     def test_rejects_non_finite_or_nonpositive(self, field, bad):
         values = {"height": 300.0, "girth": 15.0, "diameter": 4.8, field: bad}
-        with pytest.raises(ValidationError, match=f"^{field} must be positive and finite"):
+        with pytest.raises(ValidationError, match=rf"^{field} must lie in \(0, inf\), got {bad}$"):
             Measurement("conifer", **values)
 
     def test_girth_whose_diameter_underflows(self):
         # 5e-324 passes the girth check, but 5e-324 / 3.14 rounds to 0.0
-        with pytest.raises(ValidationError, match="^diameter must be positive and finite, got 0.0$"):
+        with pytest.raises(ValidationError, match=r"^diameter must lie in \(0, inf\), got 0.0$"):
             Measurement("conifer", 300.0, girth=5e-324)
         assert Measurement("conifer", 300.0, girth=2e-323).diameter > 0.0
 

@@ -478,11 +478,13 @@ class TestIntegrationSegments:
     @pytest.mark.parametrize(
         "horizon,message",
         [
-            (math.nan, "finite"),
-            (math.inf, "finite"),
-            (-math.inf, "finite"),
-            (0.0, "domain start 0.0"),
+            (math.nan, r"^horizon must lie in \(0, inf\), got nan$"),
+            (math.inf, r"^horizon must lie in \(0, inf\), got inf$"),
+            (-math.inf, r"^horizon must lie in \(0, inf\), got -inf$"),
+            (0.0, r"^horizon must lie in \(0, inf\), got 0.0$"),
         ],
+        # each case keeps the id it had before the message moved
+        ids=["nan-finite", "inf-finite", "-inf-finite", "0.0-domain start 0.0"],
     )
     def test_horizon_rejected(self, models, horizon, message):
         spec = species("evergreen", "tall")

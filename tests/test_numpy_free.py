@@ -31,7 +31,7 @@ from canopy import (
     time_at_height,
     uncapped_height,
 )
-from canopy.carbon import segment_integrand
+from canopy.carbon import _cylinder, segment_integrand
 from canopy.growth import MEDIUM_CAP_TIME_YEARS, SHRUB_CAP_TIME_YEARS
 
 REL = 1e-14
@@ -105,6 +105,17 @@ def test_segment_integrand_matches_per_element_floats(spec):
     for piece in integration_segments(spec, model, 100.0):
         f = segment_integrand(spec, piece, removal, constant)
         _assert_parity(f, np.linspace(piece.t_lo, piece.t_hi, 41))
+
+
+def test_store_of_an_array_equals_its_floats_bitwise():
+    # the one stored-CO2 rule gives one answer on both paths, so a float and
+    # an ndarray must square the radius alike (libm pow is not correctly
+    # rounded, while numpy squares exactly)
+    c = default_carbon_constant().c
+    rng = np.random.default_rng(0)
+    hs, ds = rng.uniform(0.0, 3000.0, 10_000), rng.uniform(0.0, 150.0, 10_000)
+    looped = [_cylinder(float(h), float(d), c) for h, d in zip(hs, ds)]
+    assert np.array_equal(_cylinder(hs, ds, c), looped)
 
 
 def test_domain_error_for_float_and_inside_array():

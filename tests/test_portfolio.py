@@ -48,9 +48,9 @@ class TestAllocation:
             allocate_steward_share(1.0, 101.0, 100.0)
         # the package's one horizon check
         for horizon, message in [
-            (math.inf, "horizon must be finite, got inf"),
-            (math.nan, "horizon must be finite, got nan"),
-            (0.0, "horizon must exceed domain start 0.0"),
+            (math.inf, r"horizon must lie in \(0, inf\), got inf"),
+            (math.nan, r"horizon must lie in \(0, inf\), got nan"),
+            (0.0, r"horizon must lie in \(0, inf\), got 0.0"),
         ]:
             with pytest.raises(DomainError, match=f"^{message}$"):
                 allocate_steward_share(1.0, 1.0, horizon)

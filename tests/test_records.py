@@ -219,49 +219,48 @@ def _one(cls, base, field):
 
 # every field a record checks on its own, with its valid values stated
 # here: (record built from value, field, low, low closed?, high, high
-# closed?, None allowed?, pattern that the field's refusals match)
+# closed?, None allowed?, pattern that the field's refusals match, or None
+# where each refusal is the table's, built from the stated interval)
 TABLED = [
-    (_one(CarbonFactors, FACTORS, "bef"), "bef", 0.0, False, 10.0, False, False, "bef"),
-    (_one(CarbonFactors, FACTORS, "rtsr"), "rtsr", 0.0, True, 5.0, False, False,
-     "rtsr|root-to-shoot ratio"),
-    (_one(CarbonFactors, FACTORS, "bd"), "bd", 0.0, False, 2.0, False, False, "bd"),
-    (_one(CarbonFactors, FACTORS, "cf"), "cf", 0.0, False, 1.0, True, False, "cf|carbon fraction"),
-    (CarbonConstant, "c", 0.0, False, 1e-3, False, False, "carbon constant|^c "),
+    (_one(CarbonFactors, FACTORS, "bef"), "bef", 0.0, False, 10.0, False, False, None),
+    (_one(CarbonFactors, FACTORS, "rtsr"), "rtsr", 0.0, True, 5.0, False, False, None),
+    (_one(CarbonFactors, FACTORS, "bd"), "bd", 0.0, False, 2.0, False, False, None),
+    (_one(CarbonFactors, FACTORS, "cf"), "cf", 0.0, False, 1.0, True, False, None),
+    (CarbonConstant, "c", 0.0, False, 1e-3, False, False, None),
     *[(_one(DiameterSegment, dict(h_lo=0.0, h_hi=10.0, slope=0.5, intercept=1.0), field), field,
-       -INF, False, INF, False, field == "h_hi", field)
+       -INF, False, INF, False, field == "h_hi", None)
       for field in ("h_lo", "h_hi", "slope", "intercept")],
-    (RemovalModel, "p", 0.0, False, 1.0, False, False, "^p "),
+    (RemovalModel, "p", 0.0, False, 1.0, False, False, None),
     (_one(CensusInput, CENSUS, "standing_stock"), "standing_stock", 0.0, False, INF, False, False,
-     "standing_stock"),
+     None),
     (_one(CensusInput, CENSUS, "assumed_lifespan"), "assumed_lifespan", 0.0, False, INF, False,
-     False, "assumed_lifespan"),
-    (_one(CensusInput, CENSUS, "horizon"), "horizon", 1.0, True, INF, False, False, "horizon"),
-    (_one(CensusInput, CENSUS, "storm_felled"), "storm_felled", 0.0, True, INF, False, False,
-     "storm_felled"),
-    (_one(ProjectParams, PROJECT, "horizon"), "horizon", 0.0, False, INF, False, False, "horizon"),
+     False, None),
+    (_one(CensusInput, CENSUS, "horizon"), "horizon", 1.0, True, INF, False, False, None),
+    (_one(CensusInput, CENSUS, "storm_felled"), "storm_felled", 0.0, True, INF, False, False, None),
+    (_one(ProjectParams, PROJECT, "horizon"), "horizon", 0.0, False, INF, False, False, None),
     (_one(ProjectParams, PROJECT, "project_emissions"), "project_emissions", 0.0, True, INF, False,
-     False, "project_emissions"),
+     False, None),
     # at most the horizon of 100: the one rule across fields
     (_one(ProjectParams, PROJECT, "steward_years"), "steward_years", 0.0, True, 100.0, True,
      False, "steward_years"),
     *[(_one(Measurement, dict(wood="conifer", height=300.0, girth=15.0, diameter=5.0), field), field,
-       0.0, False, INF, False, field != "height", f"^{field} must be positive and finite")
+       0.0, False, INF, False, field != "height", None)
       for field in ("height", "girth", "diameter")],
     # a girth alone: 5e-324 / 3.14 rounds to a diameter of 0.0, which is refused
     (_one(Measurement, dict(wood="conifer", height=300.0), "girth"), "girth", 5e-324, False, INF,
-     False, False, "^(girth|diameter) must be positive and finite"),
-    (_one(AbsorptionReport, REPORT, "p"), "p", -INF, False, INF, False, False, r"\bp must"),
-    (_one(AbsorptionReport, REPORT, "horizon"), "horizon", -INF, False, INF, False, False,
-     "horizon"),
+     False, False, r"^(girth|diameter) must lie in \(0, inf\), got "),
+    (_one(AbsorptionReport, REPORT, "p"), "p", -INF, False, INF, False, False, None),
+    (_one(AbsorptionReport, REPORT, "horizon"), "horizon", -INF, False, INF, False, False, None),
     # the total follows, so only the creditable term's own rule applies
     (lambda v: AbsorptionReport(**{**REPORT, "creditable": v,
                                    "expected_total": 2.0 + v if math.isfinite(v) else 3.0}),
-     "creditable", 0.0, True, INF, False, False, "absorption values"),
+     "creditable", 0.0, True, INF, False, False, None),
     # one segment of the total's value: the total must be finite, and a
     # total below 0 needs a segment below 0, which the segment rule refuses
     (lambda v: AbsorptionReport(**{**REPORT, "creditable": 0.0, "expected_total": v,
                                    "segments": (SegmentAbsorption(0.0, 1.0, "a", v),)}),
-     "expected_total", 0.0, True, INF, False, False, "expected_total|absorption values"),
+     "expected_total", 0.0, True, INF, False, False,
+     r"^expected_total must lie in \(-inf, inf\), got |^absorption values"),
 ]
 
 
@@ -277,8 +276,11 @@ def _inside(value, low, low_closed, high, high_closed):
 def test_each_field_is_refused_exactly_outside_its_interval(case, data):
     """nan, ±inf, ±0.0, each finite end and its two neighbours, and a
     drawn value inside: each is accepted, or refused with a
-    ValidationError that names the field, as the stated interval says."""
-    build, field, low, low_closed, high, high_closed, optional, names = case
+    ValidationError, as the stated interval says.  The refusal reads
+    ``<field> must lie in <interval>, got <value>``, or matches the case's
+    pattern where a rule across fields refuses."""
+    build, field, low, low_closed, high, high_closed, optional, pattern = case
+    interval = f"{'[' if low_closed else '('}{low:g}, {high:g}{']' if high_closed else ')'}"
     ends = [end for end in (low, high) if math.isfinite(end)]
     values = [math.nan, INF, -INF, 0.0, -0.0, *ends]
     values += [math.nextafter(end, toward) for end in ends for toward in (-INF, INF)]
@@ -294,4 +296,8 @@ def test_each_field_is_refused_exactly_outside_its_interval(case, data):
         else:
             with pytest.raises(ValidationError) as refused:
                 build(value)
-            assert re.search(names, str(refused.value)), (value, str(refused.value))
+            message = str(refused.value)
+            if pattern is None:
+                assert message == f"{field} must lie in {interval}, got {value}"
+            else:
+                assert re.search(pattern, message), (value, message)
